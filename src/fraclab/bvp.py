@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import FracParams, GridFunction, RegimeError, SplitFunction, eval_split
+from .core import FracParams, GridFunction, RegimeError, SplitFunction, _evaluate, eval_split
 from .special import (
     PowerTerm,
     Side,
@@ -143,7 +143,7 @@ def _split_component_terms(q: SplitFunction, k: int) -> list[PowerTerm]:
     """Component k of q as power terms: singular kernel + I^a phi."""
     p = q.params
     sing = PowerTerm(float(q.c[k]) / gamma(p.alpha), p.alpha - 1.0, Side.LEFT)
-    return [sing] + frac_integral_terms(p.alpha, _component_terms(q.phi, k))
+    return [sing] + _component_terms(q._regular, k)
 
 
 def _grid_load_tol(fg: GridFunction, alpha: float) -> float:
@@ -185,8 +185,7 @@ def assemble_system(
         fg = problem.f
         h = fg.grid.h
         for i in range(n_basis):
-            w = np.array([terms_eval(trial[i], float(t), a, b) for t in fg.grid.nodes])
-            prod = fg.values * w[:, None]
+            prod = fg.values * _evaluate(fg.grid.nodes, a, b, Side.LEFT, 1, trial[i])
             load[i] = h * (np.sum(prod, axis=0) - 0.5 * (prod[0] + prod[-1]))
     else:
         for i in range(n_basis):

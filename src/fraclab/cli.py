@@ -17,6 +17,7 @@ import numpy as np
 
 from . import io as fio
 from .core import (
+    _evaluate,
     Grid,
     GridFunction,
     RegimeError,
@@ -34,7 +35,6 @@ from .special import (
     Side,
     frac_derivative_terms,
     frac_integral_terms,
-    terms_eval,
 )
 from .varcalc import el_report, poly_lagrangian, power_lagrangian, quadratic_lagrangian
 from .bvp import BvpProblem, solve_bvp
@@ -67,7 +67,10 @@ def _json_dumps(obj) -> str:
             return float(o)
         raise TypeError(f"not serializable: {type(o)}")
 
-    return json.dumps(obj, indent=2, default=default) + "\n"
+    try:
+        return json.dumps(obj, indent=2, default=default, allow_nan=False) + "\n"
+    except ValueError as exc:  # a nan or inf would be written as non-standard JSON
+        raise CliError(EXIT_NUMERICAL, f"non-finite result: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +96,8 @@ def cmd_apply(args) -> int:
     _check_alpha(args.op, args.alpha)
     f = fio.read_grid_csv(args.input)
     out = _OPS[args.op](args.alpha, f)
+    if not np.all(np.isfinite(out.values)):
+        raise CliError(EXIT_NUMERICAL, f"{args.op} produced non-finite values")
     if args.output:
         fio.write_grid_csv(args.output, out)
     else:
@@ -119,7 +124,7 @@ def cmd_verify_ibp(args) -> int:
     _write_text(args.output, _json_dumps(report.as_dict()))
     grid_path = isinstance(q1.phi, GridFunction) or isinstance(q2.psi, GridFunction)
     tol = args.tol if args.tol is not None else (1e-2 if grid_path else 1e-8)
-    if abs(report.defect) > tol:
+    if not abs(report.defect) <= tol:
         print(f"defect {report.defect:.3e} exceeds tolerance {tol:.3e}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -283,28 +288,20 @@ def cmd_convergence(args) -> int:
     except ValueError as exc:
         raise fio.ParseError(f"bad n list: {exc}") from exc
 
-    rows = []
     errors = []
     for n in n_list:
         grid = Grid(a, b, n)
-        vals = np.array(
-            [terms_eval(f_terms, float(t), a, b) for t in grid.nodes], dtype=float
-        )
+        vals = _evaluate(grid.nodes, a, b, side, 1, f_terms)
         out = _OPS[args.op](args.alpha, GridFunction(grid, vals))
         # Derivative references can blow up at the anchored endpoint; compare
         # on the central 80% of the interval for derivative ops.
         lo, hi = (0, n + 1) if integral_op else (max(1, n // 10), n - max(1, n // 10) + 1)
-        err = 0.0
-        for i in range(lo, hi):
-            t = float(grid.nodes[i])
-            ref = float(np.atleast_1d(terms_eval(ref_terms, t, a, b))[0]) if ref_terms else 0.0
-            err = max(err, abs(float(out.values[i, 0]) - ref))
-        errors.append(err)
-        rows.append([n, err])
+        ref = _evaluate(grid.nodes[lo:hi], a, b, side, 1, ref_terms)
+        errors.append(float(np.max(np.abs(out.values[lo:hi, :1] - ref), initial=0.0)))
 
     lines = ["n,sup_error,order"]
-    for i, (n, err) in enumerate(rows):
-        order = "" if i == 0 else fio.fmt(math.log2(errors[i - 1] / errors[i]))
+    for i, (n, err) in enumerate(zip(n_list, errors)):
+        order = "" if i == 0 else fio.fmt(math.log2(errors[i - 1] / err))
         lines.append(f"{n},{fio.fmt(err)},{order}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK

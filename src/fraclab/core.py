@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .special import PowerTerm, Side, frac_integral_terms, gamma, terms_eval
+from .special import PowerTerm, Side, frac_integral_terms, gamma
 
 __all__ = [
     "RegimeError",
@@ -210,31 +210,6 @@ def build_weight_operator(alpha: float, grid: Grid) -> WeightOperator:
     return WeightOperator(alpha, grid, w)
 
 
-def _weight_row(alpha: float, grid: Grid, t: float) -> np.ndarray:
-    """Product-trapezoidal row for an off-grid target point t in (a, b]."""
-    a, h, n = grid.a, grid.h, grid.n
-    row = np.zeros(n + 1)
-    if t <= a:
-        return row
-    n_full = min(int(np.floor((t - a) / h * (1.0 + 1e-14))), n)
-    ga = gamma(alpha)
-    nodes = grid.nodes
-    for j in range(n_full):
-        u0, u1 = t - nodes[j], t - nodes[j + 1]
-        m0 = (u0**alpha - u1**alpha) / alpha
-        m1 = u0 * m0 - (u0 ** (alpha + 1.0) - u1 ** (alpha + 1.0)) / (alpha + 1.0)
-        row[j] += (m0 - m1 / h) / ga
-        row[j + 1] += m1 / (h * ga)
-    if n_full < n:
-        delta = t - nodes[n_full]
-        if delta > 0.0:
-            m0 = delta**alpha / alpha
-            m1 = delta ** (alpha + 1.0) / (alpha * (alpha + 1.0))
-            row[n_full] += (m0 - m1 / h) / ga
-            row[n_full + 1] += m1 / (h * ga)
-    return row
-
-
 def left_integral(alpha: float, f: GridFunction) -> GridFunction:
     """I^alpha from the left endpoint; the output vanishes at t = a.
 
@@ -289,8 +264,7 @@ def right_derivative_grid(alpha: float, f: GridFunction) -> GridFunction:
     return GridFunction(f.grid, d.values[::-1].copy(), True)
 
 
-TermList = list[PowerTerm]
-Density = Union[TermList, GridFunction]
+Density = Union[list[PowerTerm], GridFunction]
 
 
 def _as_vector(x) -> np.ndarray:
@@ -300,12 +274,78 @@ def _as_vector(x) -> np.ndarray:
     return v
 
 
-def _check_terms(terms: Sequence[PowerTerm], side: Side) -> TermList:
-    terms = list(terms)
-    for t in terms:
-        if t.side is not side:
-            raise ValueError(f"density terms must be {side.value}-sided")
+def _check_density(density: Density, a: float, b: float, side: Side) -> Density:
+    if isinstance(density, GridFunction):
+        if (density.grid.a, density.grid.b) != (a, b):
+            raise ValueError(f"density grid must cover [{a}, {b}]")
+        return density
+    terms = list(density)
+    if any(t.side is not side for t in terms):
+        raise ValueError(f"density terms must be {side.value}-sided")
     return terms
+
+
+def _integrate(params: FracParams, density: Density) -> Density:
+    """I^alpha density for :func:`_evaluate`: power terms in closed form, grid samples as is."""
+    if isinstance(density, GridFunction):
+        params.require_continuity_regime()  # the product-trapezoidal rows need it
+        return density
+    return frac_integral_terms(params.alpha, density)
+
+
+def _trapezoid_rows(alpha: float, grid: Grid, x: np.ndarray) -> np.ndarray:
+    """Product-trapezoidal rows of I^alpha at the points x, shape (len(x), n+1).
+
+    Distances x - t_j are clamped at 0: cells past x contribute nothing and
+    the cell holding x is integrated up to x.
+    """
+    d = np.maximum(x[:, None] - grid.nodes, 0.0)
+    da, da1 = d**alpha, d ** (alpha + 1.0)
+    m0 = (da[:, :-1] - da[:, 1:]) / alpha
+    m1 = d[:, :-1] * m0 - (da1[:, :-1] - da1[:, 1:]) / (alpha + 1.0)
+    ga, h = gamma(alpha), grid.h
+    rows = np.zeros_like(d)
+    rows[:, :-1] = (m0 - m1 / h) / ga
+    rows[:, 1:] += m1 / (h * ga)
+    return rows
+
+
+def _evaluate(t, a: float, b: float, side: Side, m: int, density: Density,
+              order: float = 0.0, coeff: np.ndarray | None = None) -> np.ndarray:
+    """Values of  coeff u^(order-1) / Gamma(order) + I^order density  at the
+    points t, shape (len(t), m); u = t - a on the left side, b - t on the right.
+
+    ``coeff`` is an (m,) vector, or None to drop the first term.  Power terms
+    are summed in closed form, so callers pass I^order of them; grid samples
+    are interpolated linearly (order 0) or integrated by product-trapezoidal
+    rows.  For order > 0 the value at u = 0 is the limit 0: coeff must vanish.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.size and not (a <= t.min() and t.max() <= b):
+        raise ValueError(f"t={t[~((t >= a) & (t <= b))][0]} outside [{a}, {b}]")
+    left = side is Side.LEFT
+    u = t - a if left else b - t
+    out = np.zeros((t.shape[0], m))
+    if order > 0.0 and not (u > 0.0).all():
+        if coeff is not None and np.any(coeff != 0.0):
+            raise ValueError(f"split function is singular at t = {a if left else b}")
+        out[u > 0.0] = _evaluate(t[u > 0.0], a, b, side, m, density, order, coeff)
+        return out
+    if coeff is not None:
+        out = coeff * u[:, None] ** (order - 1.0) / gamma(order)
+    if isinstance(density, GridFunction):
+        grid, vals = density.grid, density.values
+        if order == 0.0:
+            return out + np.stack([np.interp(t, grid.nodes, v) for v in vals.T], axis=1)
+        x, vals = (t, vals) if left else (a + b - t, vals[::-1])
+        step = max(1, 4096 // (grid.n + 1))  # rows per block: bounds the temporaries
+        for i in range(0, t.shape[0], step):
+            out[i : i + step] += _trapezoid_rows(order, grid, x[i : i + step]) @ vals
+        return out
+    total = 0.0
+    for term in density:
+        total = total + term.coeff * u[:, None] ** term.exponent
+    return out + total
 
 
 @dataclass(frozen=True)
@@ -321,17 +361,26 @@ class SplitFunction:
     phi: Density = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        p = self.params
         object.__setattr__(self, "c", _as_vector(self.c))
-        if isinstance(self.phi, GridFunction):
-            g = self.phi.grid
-            if (g.a, g.b) != (self.params.a, self.params.b):
-                raise ValueError("phi grid must cover [a, b]")
-        else:
-            object.__setattr__(self, "phi", _check_terms(self.phi, Side.LEFT))
+        object.__setattr__(self, "phi", _check_density(self.phi, p.a, p.b, Side.LEFT))
 
     @property
     def m(self) -> int:
         return self.c.shape[0]
+
+    @cached_property
+    def _regular(self) -> Density:
+        return _integrate(self.params, self.phi)
+
+    def _values(self, t) -> np.ndarray:
+        """q at the points t in [a, b], shape (len(t), m)."""
+        p = self.params
+        return _evaluate(t, p.a, p.b, Side.LEFT, self.m, self._regular, p.alpha, self.c)
+
+    def _density_values(self, t) -> np.ndarray:
+        """D^alpha q = phi at the points t in [a, b], shape (len(t), m)."""
+        return _evaluate(t, self.params.a, self.params.b, Side.LEFT, self.m, self.phi)
 
 
 @dataclass(frozen=True)
@@ -343,25 +392,17 @@ class RightSplitFunction:
     psi: Density = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        p = self.params
         object.__setattr__(self, "d", _as_vector(self.d))
-        if isinstance(self.psi, GridFunction):
-            g = self.psi.grid
-            if (g.a, g.b) != (self.params.a, self.params.b):
-                raise ValueError("psi grid must cover [a, b]")
-        else:
-            object.__setattr__(self, "psi", _check_terms(self.psi, Side.RIGHT))
+        object.__setattr__(self, "psi", _check_density(self.psi, p.a, p.b, Side.RIGHT))
 
     @property
     def m(self) -> int:
         return self.d.shape[0]
 
-
-def _regular_part(alpha: float, density: Density, t: float, params: FracParams):
-    if isinstance(density, GridFunction):
-        params.require_continuity_regime()
-        row = _weight_row(alpha, density.grid, t)
-        return row @ density.values
-    return terms_eval(frac_integral_terms(alpha, density), t, params.a, params.b)
+    @cached_property
+    def _regular(self) -> Density:
+        return _integrate(self.params, self.psi)
 
 
 def eval_split(q: SplitFunction, t: float) -> np.ndarray:
@@ -370,33 +411,13 @@ def eval_split(q: SplitFunction, t: float) -> np.ndarray:
     The regular part is exact for power-term densities and a single
     product-trapezoidal row for grid densities.
     """
-    p = q.params
-    if t < p.a or t > p.b:
-        raise ValueError(f"t={t} outside [{p.a}, {p.b}]")
-    if t == p.a:
-        if np.any(q.c != 0.0):
-            raise ValueError("split function is singular at t = a (c != 0)")
-        return np.zeros(q.m)
-    singular = q.c * (t - p.a) ** (p.alpha - 1.0) / gamma(p.alpha)
-    return singular + _regular_part(p.alpha, q.phi, t, p)
+    return q._values([t])[0]
 
 
 def eval_right_split(q: RightSplitFunction, t: float) -> np.ndarray:
     """Pointwise value of a right split function on [a, b)."""
     p = q.params
-    if t < p.a or t > p.b:
-        raise ValueError(f"t={t} outside [{p.a}, {p.b}]")
-    if t == p.b:
-        if np.any(q.d != 0.0):
-            raise ValueError("split function is singular at t = b (d != 0)")
-        return np.zeros(q.m)
-    singular = q.d * (p.b - t) ** (p.alpha - 1.0) / gamma(p.alpha)
-    if isinstance(q.psi, GridFunction):
-        p.require_continuity_regime()
-        grid = q.psi.grid
-        row = _weight_row(p.alpha, grid, p.a + p.b - t)
-        return singular + row @ q.psi.values[::-1]
-    return singular + terms_eval(frac_integral_terms(p.alpha, q.psi), t, p.a, p.b)
+    return _evaluate([t], p.a, p.b, Side.RIGHT, q.m, q._regular, p.alpha, q.d)[0]
 
 
 def sample_split(q: SplitFunction, grid: Grid) -> GridFunction:
@@ -406,11 +427,9 @@ def sample_split(q: SplitFunction, grid: Grid) -> GridFunction:
     a ignored placeholder otherwise.
     """
     singular_at_a = bool(np.any(q.c != 0.0))
+    start = 1 if singular_at_a else 0
     values = np.zeros((grid.n + 1, q.m))
-    for i, t in enumerate(grid.nodes):
-        if i == 0 and singular_at_a:
-            continue
-        values[i] = eval_split(q, float(t))
+    values[start:] = q._values(grid.nodes[start:])
     return GridFunction(grid, values, left_endpoint_finite=not singular_at_a)
 
 
@@ -440,23 +459,18 @@ class RlDerivative:
     a: float
     b: float
 
+    def _values(self, t: np.ndarray) -> np.ndarray:
+        regular = _evaluate(t, self.a, self.b, Side.LEFT, len(self.singular_coeff), self.regular)
+        return self.singular_coeff * (t[:, None] - self.a) ** -self.alpha + regular
+
     def eval(self, t: float) -> np.ndarray:
         if not self.a < t <= self.b:
             raise ValueError(f"t={t} outside ({self.a}, {self.b}]")
-        s = self.singular_coeff * (t - self.a) ** (-self.alpha)
-        if isinstance(self.regular, GridFunction):
-            # regular already holds I^(1-alpha) q' at the nodes
-            g = self.regular
-            vals = np.array(
-                [np.interp(t, g.grid.nodes, g.values[:, k]) for k in range(g.m)]
-            )
-            return s + vals
-        return s + terms_eval(self.regular, t, self.a, self.b)
+        return self._values(np.array([t], dtype=float))[0]
 
     def sample(self, grid: Grid) -> GridFunction:
         values = np.zeros((grid.n + 1, self.singular_coeff.shape[0]))
-        for i in range(1, grid.n + 1):
-            values[i] = self.eval(float(grid.nodes[i]))
+        values[1:] = self._values(grid.nodes[1:])
         return GridFunction(grid, values, left_endpoint_finite=False)
 
 
@@ -473,7 +487,7 @@ def rl_derivative_of_ac(alpha: float, q_a, qprime: Density, a: float, b: float) 
     if isinstance(qprime, GridFunction):
         regular: Density = left_integral(1.0 - alpha, qprime)
     else:
-        regular = frac_integral_terms(1.0 - alpha, _check_terms(qprime, Side.LEFT))
+        regular = frac_integral_terms(1.0 - alpha, _check_density(qprime, a, b, Side.LEFT))
     return RlDerivative(alpha, coeff, regular, a, b)
 
 

@@ -22,11 +22,12 @@ from .core import (
     RegimeError,
     RightSplitFunction,
     SplitFunction,
+    _evaluate,
     build_weight_operator,
     eval_right_split,
     eval_split,
 )
-from .special import PowerTerm, Side, frac_integral_terms, gamma, terms_eval, terms_product_integral
+from .special import PowerTerm, Side, gamma, terms_product_integral
 
 __all__ = ["IbpReport", "ibp_report"]
 
@@ -87,10 +88,8 @@ def _closed_form(q1: SplitFunction, q2: RightSplitFunction) -> IbpReport:
     p = q1.params
     a, b, alpha = p.a, p.b, p.alpha
     # q1 = c kernel + I^a phi (left-sided terms), q2 mirrored on the right.
-    q1_terms = [PowerTerm(q1.c / gamma(alpha), alpha - 1.0, Side.LEFT)]
-    q1_terms += frac_integral_terms(alpha, q1.phi)
-    q2_terms = [PowerTerm(q2.d / gamma(alpha), alpha - 1.0, Side.RIGHT)]
-    q2_terms += frac_integral_terms(alpha, q2.psi)
+    q1_terms = [PowerTerm(q1.c / gamma(alpha), alpha - 1.0, Side.LEFT)] + q1._regular
+    q2_terms = [PowerTerm(q2.d / gamma(alpha), alpha - 1.0, Side.RIGHT)] + q2._regular
 
     lhs = float(np.sum(terms_product_integral(q1.phi, q2_terms, a, b)))
     rhs = float(np.sum(terms_product_integral(q1_terms, q2.psi, a, b)))
@@ -98,21 +97,16 @@ def _closed_form(q1: SplitFunction, q2: RightSplitFunction) -> IbpReport:
     return _report(lhs, rhs, boundary_b, boundary_a, 1e-12)
 
 
-def _density_values(density, grid: Grid, m: int, what: str) -> np.ndarray:
+def _density_values(density, side: Side, grid: Grid, m: int, what: str) -> np.ndarray:
     if isinstance(density, GridFunction):
-        return density.values
-    for t in density:
-        if t.exponent < 0.0:
-            raise RegimeError(
-                f"grid-path {what} must be bounded; use the closed-form path "
-                "for singular power densities"
-            )
-    vals = np.array(
-        [np.broadcast_to(np.atleast_1d(terms_eval(density, float(t), grid.a, grid.b)), (m,))
-         for t in grid.nodes],
-        dtype=float,
-    )
-    return vals
+        if not density.left_endpoint_finite:
+            raise RegimeError("grid densities must be finite at the endpoints")
+    elif any(t.exponent < 0.0 for t in density):
+        raise RegimeError(
+            f"grid-path {what} must be bounded; use the closed-form path "
+            "for singular power densities"
+        )
+    return _evaluate(grid.nodes, grid.a, grid.b, side, m, density)
 
 
 def _grid_path(q1: SplitFunction, q2: RightSplitFunction, quad_n: int) -> IbpReport:
@@ -122,13 +116,10 @@ def _grid_path(q1: SplitFunction, q2: RightSplitFunction, quad_n: int) -> IbpRep
     grid = grids[0] if grids else Grid(a, b, quad_n)
     if any(g.n != grid.n for g in grids):
         raise ValueError("grid densities of q1 and q2 must share the same grid")
-    for d in (q1.phi, q2.psi):
-        if isinstance(d, GridFunction) and not d.left_endpoint_finite:
-            raise RegimeError("grid densities must be finite at the endpoints")
 
     m = q1.m
-    phi = _density_values(q1.phi, grid, m, "phi")
-    psi = _density_values(q2.psi, grid, m, "psi")
+    phi = _density_values(q1.phi, Side.LEFT, grid, m, "phi")
+    psi = _density_values(q2.psi, Side.RIGHT, grid, m, "psi")
 
     w = build_weight_operator(alpha, grid)
     i_phi = w.apply(phi)  # I^a_left phi at the nodes

@@ -37,6 +37,12 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _require_finite(values, what: str) -> None:
+    ok = (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x) for x in values)
+    if not all(ok):
+        raise ParseError(f"{what}: non-finite entry (nan or inf)")
+
+
 def write_grid_csv(path: str, f: GridFunction) -> None:
     header = "t," + ",".join(f"v{k}" for k in range(f.m))
     lines = [header]
@@ -63,6 +69,7 @@ def read_grid_csv(path: str) -> GridFunction:
         raise ParseError(f"{path}: non-numeric entry ({exc})") from exc
     if data.shape[1] != len(header):
         raise ParseError(f"{path}: row width does not match header")
+    _require_finite([data], path)
     t = data[:, 0]
     n = len(t) - 1
     a, b = float(t[0]), float(t[-1])
@@ -91,6 +98,7 @@ def _terms_from_json(items, side: Side) -> list[PowerTerm]:
         coeff = it["coeff"]
         coeff = np.asarray(coeff, dtype=float) if isinstance(coeff, list) else float(coeff)
         try:
+            _require_finite([coeff, float(it["exponent"])], "power term")
             out.append(PowerTerm(coeff, float(it["exponent"]), side))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
@@ -135,6 +143,7 @@ def split_from_dict(d: dict, base_dir: str = ".") -> SplitFunction | RightSplitF
         kind = phi["kind"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed split-function JSON: {exc}") from exc
+    _require_finite([params.a, params.b, c], "split-function JSON")
     term_side = Side.LEFT if side == "left" else Side.RIGHT
     if kind == "poly":
         density = _terms_from_json(phi["terms"], term_side)

@@ -23,7 +23,7 @@ from .core import (
     eval_split,
     right_derivative_grid,
 )
-from .special import PowerTerm, Side, gamma, terms_eval
+from .special import PowerTerm, Side, gamma
 
 __all__ = [
     "QPTerm",
@@ -98,7 +98,9 @@ class QuasiPolynomial:
         for k, term in enumerate(self.terms):
             if term.s1 == 0.0:
                 lhs = term.s2 * inv_p
-                if not lhs <= inv_m:
+                # 1/p, s2/p and a derived M such as p' = p/(p-1) each round, so
+                # the admissible equality s2/p = 1/M may land a few ulps above.
+                if not lhs <= inv_m * (1.0 + 4.0 * np.finfo(float).eps):
                     out.append(
                         f"{label} term {k}: s2/p <= 1/M violated "
                         f"({term.s2}/{p} = {lhs:.6g} > {inv_m:.6g})"
@@ -234,17 +236,6 @@ def _graded_rule(
     return pts[keep], wts[keep]
 
 
-def _density_value(q: SplitFunction, t: float) -> np.ndarray:
-    """D^alpha q at t, read from the stored density."""
-    if isinstance(q.phi, GridFunction):
-        g = q.phi
-        return np.array(
-            [np.interp(t, g.grid.nodes, g.values[:, k]) for k in range(g.m)]
-        )
-    v = terms_eval(q.phi, t, q.params.a, q.params.b)
-    return np.broadcast_to(np.atleast_1d(v), (q.m,)).astype(float)
-
-
 def _require_valid(spec: LagrangianSpec, q: SplitFunction, validate: bool) -> None:
     if validate:
         violations = validate_growth(spec.certificate, q.params)
@@ -267,8 +258,8 @@ def bolza_value(
     grading = _grading_for(p.alpha, spec.certificate, q_singular, False)
     pts, wts = _graded_rule(p.a, p.b, quad_n, p.alpha, grading)
     total = 0.0
-    for t, w in zip(pts, wts):
-        val = spec.L(float(t), eval_split(q, float(t)), _density_value(q, float(t)))
+    for t, w, x, v in zip(pts.tolist(), wts, q._values(pts), q._density_values(pts)):
+        val = spec.L(t, x, v)
         if not np.isfinite(val):
             raise ValueError(f"Lagrangian not finite at t = {t}")
         total += w * val
@@ -298,11 +289,9 @@ def first_variation(
     h_singular = bool(np.any(h.c != 0.0))
     grading = _grading_for(p.alpha, spec.certificate, q_singular, h_singular)
     pts, wts = _graded_rule(p.a, p.b, quad_n, p.alpha, grading)
+    batch = (q._values(pts), q._density_values(pts), h._values(pts), h._density_values(pts))
     total = 0.0
-    for t, w in zip(pts, wts):
-        t = float(t)
-        x, v = eval_split(q, t), _density_value(q, t)
-        hx, hv = eval_split(h, t), _density_value(h, t)
+    for t, w, x, v, hx, hv in zip(pts.tolist(), wts, *batch):
         gx = np.atleast_1d(np.asarray(spec.L_x(t, x, v), dtype=float))
         gv = np.atleast_1d(np.asarray(spec.L_v(t, x, v), dtype=float))
         total += w * float(gx @ hx + gv @ hv)
@@ -354,9 +343,8 @@ def el_report(
     g = np.zeros((quad_n + 1, m))
     lx = np.zeros((quad_n + 1, m))
     start = 0 if finite_a else 1
-    for i in range(start, quad_n + 1):
-        t = float(nodes[i])
-        x, v = eval_split(q, t), _density_value(q, t)
+    batch = (nodes[start:].tolist(), q._values(nodes[start:]), q._density_values(nodes[start:]))
+    for i, t, x, v in zip(range(start, quad_n + 1), *batch):
         g[i] = np.atleast_1d(np.asarray(spec.L_v(t, x, v), dtype=float))
         lx[i] = np.atleast_1d(np.asarray(spec.L_x(t, x, v), dtype=float))
         bad = ~np.isfinite(g[i]) | ~np.isfinite(lx[i])

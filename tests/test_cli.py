@@ -147,6 +147,51 @@ class TestExitCodes:
         assert out.returncode == 0
 
 
+class TestNonFiniteFailsClosed:
+    def write_pair(self, tmp_path, edit_q1, edit_q2=lambda q: None):
+        paths = []
+        for name, edit in (("ibp_q1.json", edit_q1), ("ibp_q2.json", edit_q2)):
+            with open(os.path.join(FIXTURES, name)) as fh:
+                q = json.load(fh)
+            edit(q)
+            path = tmp_path / name
+            path.write_text(json.dumps(q))  # nan and inf come out as NaN / Infinity
+            paths.append(str(path))
+        return paths
+
+    def test_nan_sample_is_2(self, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("t,v0\n0,1\n0.5,nan\n1,1\n")
+        out = run_cli("apply", "--op", "ileft", "--alpha", "0.5", str(bad))
+        assert out.returncode == 2
+        assert "non-finite" in out.stderr
+
+    def test_overflowing_apply_is_4(self, tmp_path):
+        # finite samples whose difference quotients overflow to inf
+        big = tmp_path / "big.csv"
+        big.write_text("t,v0\n" + "".join(f"{t},1e308\n" for t in (0, 0.25, 0.5, 0.75, 1)))
+        out = run_cli("apply", "--op", "dleft", "--alpha", "0.5", str(big))
+        assert out.returncode == 4
+        assert "inf" not in out.stdout
+
+    def test_nan_coefficient_is_2(self, tmp_path):
+        q1, q2 = self.write_pair(tmp_path, lambda q: q.update(c=[float("nan")]))
+        out = run_cli("verify-ibp", q1, q2)
+        assert out.returncode == 2
+        assert "non-finite" in out.stderr
+
+    def test_overflowing_defect_is_4(self, tmp_path):
+        # finite input whose products overflow: the defect is inf - inf = nan
+        q1, q2 = self.write_pair(
+            tmp_path,
+            lambda q: q["phi"]["terms"][0].update(coeff=1e308),
+            lambda q: q.update(c=[1e308]),
+        )
+        out = run_cli("verify-ibp", q1, q2)
+        assert out.returncode == 4
+        assert "NaN" not in out.stdout and "Infinity" not in out.stdout
+
+
 class TestApplyBehavior:
     def test_ileft_of_ones_matches_power(self):
         out = run_cli("apply", "--op", "ileft", "--alpha", "0.5", "ones.csv")

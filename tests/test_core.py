@@ -319,6 +319,46 @@ class TestSplitFunctions:
         with pytest.raises(ValueError):
             eval_right_split(q, 1.0)
 
+    def test_right_split_off_node_closed_form(self):
+        # q = d (b-t)^(alpha-1)/Gamma(alpha) + I^alpha_(b-) (1.5 - 0.8 (b-t))
+        alpha, a, b, d = 0.65, 0.5, 2.0, 0.4
+        p = FracParams(alpha, math.inf, a, b)
+
+        def exact(t):
+            u = b - t
+            return (
+                d * u ** (alpha - 1.0) / math.gamma(alpha)
+                + 1.5 * u**alpha / math.gamma(alpha + 1.0)
+                - 0.8 * u ** (alpha + 1.0) / math.gamma(alpha + 2.0)
+            )
+
+        g = Grid(a, b, 200)
+        psi_terms = [PowerTerm(1.5, 0.0, Side.RIGHT), PowerTerm(-0.8, 1.0, Side.RIGHT)]
+        psi_grid = GridFunction(g, 1.5 - 0.8 * (b - g.nodes))
+        q_terms = RightSplitFunction(p, [d], psi_terms)
+        q_grid = RightSplitFunction(p, [d], psi_grid)
+        for t in (0.5, 0.61, 1.001, 1.37, 1.9999):
+            assert eval_right_split(q_terms, t)[0] == pytest.approx(exact(t), rel=1e-12)
+            # psi is linear, which the product trapezoid integrates exactly
+            assert eval_right_split(q_grid, t)[0] == pytest.approx(exact(t), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 10, 64, 100, 250])
+    def test_grid_density_one_ulp_from_nodes(self, n):
+        # A point one ulp below a node once fell into the next cell, where
+        # (t - t_j)^alpha took a negative base and gave NaN.
+        p = FracParams(0.7, math.inf, 0.0, 1.0)
+        g = Grid(0.0, 1.0, n)
+        f = GridFunction(g, 1.0 + g.nodes**2)
+        pairs = ((SplitFunction(p, [0.3], f), eval_split),
+                 (RightSplitFunction(p, [0.3], f), eval_right_split))
+        for q, evaluate in pairs:
+            for node in g.nodes[1:-1]:
+                at = float(evaluate(q, float(node))[0])
+                for direction in (-math.inf, math.inf):
+                    near = float(evaluate(q, float(np.nextafter(node, direction)))[0])
+                    assert math.isfinite(near)
+                    assert near == pytest.approx(at, rel=1e-13)
+
     def test_sample_split_flags(self):
         p = self.params()
         q = SplitFunction(p, [1.0], [])

@@ -43,6 +43,10 @@ def test_grid_csv_rejects_garbage(tmp_path):
     path.write_text("t,v0\n0,x\n1,2\n2,3\n")
     with pytest.raises(ParseError):
         read_grid_csv(str(path))
+    for entry in ("nan", "inf", "-inf"):
+        path.write_text(f"t,v0\n0,1\n0.5,{entry}\n1,1\n")
+        with pytest.raises(ParseError, match="non-finite"):
+            read_grid_csv(str(path))
 
 
 def test_split_json_round_trip_poly(tmp_path):
@@ -89,17 +93,25 @@ def test_split_json_malformed(tmp_path):
     with pytest.raises(ParseError):
         read_split_json(str(path))
     # invalid exponent surfaces as a parse error
-    path.write_text(
-        json.dumps(
-            {
-                "alpha": 0.5,
-                "p": 2.0,
-                "a": 0.0,
-                "b": 1.0,
-                "c": [0.0],
-                "phi": {"kind": "poly", "terms": [{"coeff": 1.0, "exponent": -2.0}]},
-            }
-        )
-    )
+    split = {
+        "alpha": 0.5,
+        "p": 2.0,
+        "a": 0.0,
+        "b": 1.0,
+        "c": [0.0],
+        "phi": {"kind": "poly", "terms": [{"coeff": 1.0, "exponent": -2.0}]},
+    }
+    path.write_text(json.dumps(split))
     with pytest.raises(ParseError):
         read_split_json(str(path))
+    # so does any non-finite number (json writes them as NaN / Infinity)
+    split["phi"]["terms"][0]["exponent"] = 1.0
+    for key, value in (("c", [float("nan")]), ("a", float("-inf"))):
+        path.write_text(json.dumps({**split, key: value}))
+        with pytest.raises(ParseError, match="non-finite"):
+            read_split_json(str(path))
+    for field in ("coeff", "exponent"):
+        terms = [{"coeff": 1.0, "exponent": 1.0, field: float("inf")}]
+        path.write_text(json.dumps({**split, "phi": {"kind": "poly", "terms": terms}}))
+        with pytest.raises(ParseError, match="non-finite"):
+            read_split_json(str(path))

@@ -65,6 +65,18 @@ class TestValidateGrowth:
                     expected = (alpha > 1.0 - 1.0 / r) and (p >= r)
                     assert ok == expected, (r, alpha, p)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 4.0])
+    def test_boundary_r_equals_p_is_admissible(self, p):
+        # s2/p = 1/p' holds with equality; the rounding of 1/p and of
+        # p' = p/(p-1) must not reject it, nor admit a term just past it.
+        spec = power_lagrangian(p, 0.8, p)
+        assert validate_growth(spec.certificate, params(0.8, p)) == []
+        p_conj = p / (p - 1.0)
+        at = QuasiPolynomial((QPTerm((1.0,), s2=p - 1.0),), p_conj)
+        assert at.violations(0.8, p) == []
+        past = QuasiPolynomial((QPTerm((1.0,), s2=(p - 1.0) * (1.0 + 1e-9)),), p_conj)
+        assert len(past.violations(0.8, p)) == 1
+
     def test_violations_name_the_inequality(self):
         spec = power_lagrangian(3.0, 0.6, 2.0)  # p < r and alpha <= 1/r'
         v = validate_growth(spec.certificate, params(0.6, 2.0))
