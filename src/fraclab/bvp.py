@@ -20,10 +20,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import FracParams, GridFunction, RegimeError, SplitFunction, _evaluate, eval_split
+from .core import FracParams, GridFunction, RegimeError, SplitFunction, _power_terms, eval_split
 from .special import (
     PowerTerm,
     Side,
+    beta,
     frac_derivative_terms,
     frac_integral_terms,
     gamma,
@@ -46,15 +47,6 @@ __all__ = [
 MAX_BASIS_DEGREE = 12  # conditioning cap for the monomial expansion
 
 Forcing = Union[list[PowerTerm], GridFunction]
-
-
-def _component_terms(terms: Sequence[PowerTerm], k: int) -> list[PowerTerm]:
-    """Component k of a list of (possibly vector-coefficient) power terms."""
-    out = []
-    for t in terms:
-        c = np.atleast_1d(np.asarray(t.coeff, dtype=float))
-        out.append(PowerTerm(float(c[0] if c.size == 1 else c[k]), t.exponent, t.side))
-    return out
 
 
 @dataclass(frozen=True)
@@ -139,11 +131,37 @@ def shifted_legendre_terms(j: int, a: float, b: float) -> list[PowerTerm]:
     return [PowerTerm(c, float(k), Side.LEFT) for k, c in enumerate(coeffs) if c != 0.0]
 
 
-def _split_component_terms(q: SplitFunction, k: int) -> list[PowerTerm]:
-    """Component k of q as power terms: singular kernel + I^a phi."""
-    p = q.params
-    sing = PowerTerm(float(q.c[k]) / gamma(p.alpha), p.alpha - 1.0, Side.LEFT)
-    return [sing] + _component_terms(q._regular, k)
+def _gauss_jacobi(n: int, wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rules for the weights (1-x)^wa (1+x)^wb on [-1, 1], one per
+    entry of the exponent arrays: nodes and weights of shape (len(wa), n).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic three-term recurrence.  Exact for polynomials of degree < 2n; needs
+    wa, wb > -1 and wa + wb > -1.
+    """
+    wa, wb = (np.asarray(w, dtype=float).reshape(-1, 1) for w in (wa, wb))
+    s = wa + wb
+    k = np.arange(1.0, n)
+    d = 2.0 * k + s
+    i = np.arange(n)
+    jac = np.zeros((s.shape[0], n, n))
+    jac[:, i, i] = np.c_[(wb - wa) / (s + 2.0), (wb * wb - wa * wa) / (d * (d + 2.0))]
+    off = np.sqrt(4.0 * k * (k + wa) * (k + wb) * (k + s) / (d * d * (d * d - 1.0)))
+    jac[:, i[1:], i[:-1]] = jac[:, i[:-1], i[1:]] = off
+    x, v = np.linalg.eigh(jac)
+    mu0 = [2.0 ** (ea + eb + 1.0) * beta(ea + 1.0, eb + 1.0) for ea, eb in zip(wa.flat, wb.flat)]
+    return x, np.asarray(mu0)[:, None] * v[:, 0, :] ** 2
+
+
+def _jacobi_table(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
+    """P_j^(-alpha, alpha)(x) for j < n by the three-term recurrence, shape (n, len(x))."""
+    p = np.empty((n, len(x)))
+    p[0] = 1.0
+    if n > 1:
+        p[1] = x - alpha
+    for j in range(1, n - 1):
+        p[j + 1] = ((2 * j + 1) * x * p[j] - (j * j - alpha * alpha) / j * p[j - 1]) / (j + 1)
+    return p
 
 
 def _grid_load_tol(fg: GridFunction, alpha: float) -> float:
@@ -160,53 +178,56 @@ def assemble_system(
     + delta_ij (b-a)/(2i+1) by orthogonality; the load is
     int f . I^a B_i - <q0, I^a B_i>;  the constraint row holds (I^a B_j)(b),
     so admissible coefficient vectors satisfy row . c = 0.
+
+    With t = a + (b-a)(1+x)/2,  I^a B_j(t) = (1+x)^a T_j(x)  for the
+    polynomial T_j = ((b-a)/2)^a Gamma(j+1)/Gamma(j+1+a) P_j^(-a,a)
+    (Zayernouri & Karniadakis 2013), so every integral is a Gauss-Jacobi
+    rule with N+1 nodes, exact for the power-term data.
     """
     if basis_degree > MAX_BASIS_DEGREE:
         raise ValueError(f"basis degree capped at {MAX_BASIS_DEGREE}, got {basis_degree}")
     if basis_degree < 0:
         raise ValueError("basis degree must be nonnegative")
     p = problem.params
-    a, b, alpha = p.a, p.b, p.alpha
-    n_basis = basis_degree + 1
+    alpha, half = p.alpha, 0.5 * p.length
+    n = basis_degree + 1
+    j = np.arange(1.0, n)
+    scale = half**alpha * np.cumprod(np.r_[1.0 / gamma(alpha + 1.0), j / (j + alpha)])
 
-    basis = [shifted_legendre_terms(j, a, b) for j in range(n_basis)]
-    trial = [frac_integral_terms(alpha, bj) for bj in basis]
+    def trial(x: np.ndarray) -> np.ndarray:
+        return scale[:, None] * _jacobi_table(alpha, n, x)
 
-    gram = np.zeros((n_basis, n_basis))
-    for i in range(n_basis):
-        for j in range(i, n_basis):
-            gij = float(np.sum(terms_product_integral(trial[i], trial[j], a, b)))
-            if i == j:
-                gij += (b - a) / (2.0 * i + 1.0)
-            gram[i, j] = gram[j, i] = gij
+    # One rule for the Gram matrix, weight (1+x)^(2a), then one per power
+    # term of f and of q0: (t-a)^e = half^e (1+x)^e, (b-t)^e = half^e (1-x)^e.
+    q0 = feasible_element(problem)
+    f = [] if isinstance(problem.f, GridFunction) else problem.f
+    terms = [*f, *_power_terms(q0)]
+    e = np.array([t.exponent for t in terms])
+    left = np.array([t.side is Side.LEFT for t in terms])
+    x, w = _gauss_jacobi(
+        n, np.r_[0.0, np.where(left, 0.0, e)], np.r_[2.0 * alpha, np.where(left, e + alpha, alpha)]
+    )
+    table = trial(np.r_[x.ravel(), 1.0])  # T_j at every node of every rule, then at x = 1
 
-    load = np.zeros((n_basis, problem.m))
+    v = table[:, :n] * np.sqrt(half * w[0])
+    gram = v @ v.T + np.diag(p.length / (2.0 * np.arange(n) + 1.0))
+
+    # int term . I^a B_j = half^(e+1) sum_k w_k T_j(x_k), since dt = half dx.
+    moments = np.einsum("jrk,rk->jr", table[:, n:-1].reshape(n, -1, n), w[1:]) * half ** (e + 1.0)
+    # load = int f . I^a B_j - <q0, I^a B_j>, where <q0, I^a B_j> also holds
+    # int theta . B_j = (b-a) theta delta_j0.
+    term_coeffs = np.array([np.broadcast_to(t.coeff, (problem.m,)) for t in terms])
+    term_coeffs[len(f):] *= -1.0
+    load = moments @ term_coeffs
+    load[0] -= p.length * q0.phi[0].coeff
     if isinstance(problem.f, GridFunction):
         fg = problem.f
-        h = fg.grid.h
-        for i in range(n_basis):
-            prod = fg.values * _evaluate(fg.grid.nodes, a, b, Side.LEFT, 1, trial[i])
-            load[i] = h * (np.sum(prod, axis=0) - 0.5 * (prod[0] + prod[-1]))
-    else:
-        for i in range(n_basis):
-            for k in range(problem.m):
-                load[i, k] = float(
-                    np.sum(terms_product_integral(_component_terms(problem.f, k), trial[i], a, b))
-                )
+        u = (fg.grid.nodes - p.a) / half  # 1 + x
+        trap = np.full(u.shape, fg.grid.h)
+        trap[[0, -1]] *= 0.5
+        load += (u**alpha * trial(u - 1.0) * trap) @ fg.values
 
-    q0 = feasible_element(problem)
-    for i in range(n_basis):
-        for k in range(problem.m):
-            # <q0, I^a B_i> = int q0 . I^a B_i + int theta . B_i.
-            inner = float(
-                np.sum(terms_product_integral(_split_component_terms(q0, k), trial[i], a, b))
-            )
-            inner += float(
-                np.sum(terms_product_integral(_component_terms(q0.phi, k), basis[i], a, b))
-            )
-            load[i, k] -= inner
-
-    constraint = np.array([terms_eval(tj, b, a, b) for tj in trial], dtype=float)
+    constraint = 2.0**alpha * table[:, -1]
     return gram, load, constraint
 
 
@@ -216,54 +237,31 @@ def _null_space(constraint: np.ndarray) -> np.ndarray:
     return q[:, 1:]
 
 
-def _combine_legendre(coeffs: np.ndarray, a: float, b: float, m: int) -> list[PowerTerm]:
-    """Collapse sum_j coeffs[j] B_j into monomial power terms of (t - a)."""
-    power_coeffs: dict[float, np.ndarray] = {}
-    for j in range(coeffs.shape[0]):
-        for t in shifted_legendre_terms(j, a, b):
-            cur = power_coeffs.setdefault(t.exponent, np.zeros(m))
-            cur += float(np.asarray(t.coeff)) * coeffs[j]
-    return [PowerTerm(power_coeffs[e], e, Side.LEFT) for e in sorted(power_coeffs)]
-
-
 def solve_bvp(problem: BvpProblem, basis_degree: int) -> BvpSolution:
     """Solve the constrained SPD Galerkin system by null-space elimination."""
     gram, load, constraint = assemble_system(problem, basis_degree)
     z = _null_space(constraint)
-    reduced = z.T @ gram @ z
     coeffs = np.zeros_like(load)
-    for k in range(problem.m):
-        y = np.linalg.solve(reduced, z.T @ load[:, k]) if z.shape[1] else np.zeros(0)
-        coeffs[:, k] = z @ y
+    if z.shape[1]:
+        coeffs = z @ np.linalg.solve(z.T @ gram @ z, z.T @ load)
 
+    # The density sum_j coeffs[j] B_j + theta, in powers of (t - a).
     p = problem.params
-    phi_terms = _combine_legendre(coeffs, p.a, p.b, problem.m)
-    q0 = feasible_element(problem)
-    theta = np.atleast_1d(np.asarray(q0.phi[0].coeff, dtype=float))
-    # Merge the constant density of q0 into the solution's density.
-    merged: list[PowerTerm] = []
-    has_const = False
-    for t in phi_terms:
-        if t.exponent == 0.0:
-            merged.append(PowerTerm(np.asarray(t.coeff) + theta, 0.0, Side.LEFT))
-            has_const = True
-        else:
-            merged.append(t)
-    if not has_const:
-        merged.insert(0, PowerTerm(theta, 0.0, Side.LEFT))
-    q = SplitFunction(p, problem.q_a, merged)
+    power = np.zeros_like(coeffs)
+    for j, cj in enumerate(coeffs):
+        power[: j + 1] += np.outer(_legendre_coeffs(j, p.a, p.b), cj)
+    power[0] += feasible_element(problem).phi[0].coeff
+    phi = [PowerTerm(c, float(k), Side.LEFT) for k, c in enumerate(power)]
+    q = SplitFunction(p, problem.q_a, phi)
 
-    weak = np.abs(z.T @ (gram @ coeffs - load))
-    weak_residuals = np.max(weak, axis=1) if weak.shape[0] else np.zeros(0)
+    weak_residuals = np.max(np.abs(z.T @ (gram @ coeffs - load)), axis=1)
     bc_b = np.abs(np.atleast_1d(eval_split(q, p.b)) - problem.q_b)
 
-    energy_sq = 0.0
-    for k in range(problem.m):
-        qk = _split_component_terms(q, k)
-        pk = _component_terms(q.phi, k)
-        energy_sq += float(np.sum(terms_product_integral(qk, qk, p.a, p.b)))
-        energy_sq += float(np.sum(terms_product_integral(pk, pk, p.a, p.b)))
-
+    qt = _power_terms(q)
+    energy_sq = float(
+        np.sum(terms_product_integral(qt, qt, p.a, p.b))
+        + np.sum(terms_product_integral(q.phi, q.phi, p.a, p.b))
+    )
     proj_tol = (
         _grid_load_tol(problem.f, p.alpha) if isinstance(problem.f, GridFunction) else 0.0
     )
@@ -286,32 +284,26 @@ def weak_form_check(
     boundary constraints); small defects certify the weak-solution property.
     """
     p = problem.params
-    a, b, alpha = p.a, p.b, p.alpha
+    a, b = p.a, p.b
     if isinstance(q.phi, GridFunction) or isinstance(problem.f, GridFunction):
         raise ValueError("weak_form_check expects power-term data")
 
+    def inner(u: Sequence[PowerTerm], v: Sequence[PowerTerm]) -> float:
+        """int u . v summed over the m components; scalar coefficients broadcast."""
+        return float(np.sum(np.broadcast_to(terms_product_integral(u, v, a, b), (problem.m,))))
+
+    q_terms = _power_terms(q)
     out = np.zeros(len(probes))
     for idx, h in enumerate(probes):
         if np.any(h.c != 0.0):
             raise ValueError("probe must have zero singular coefficient")
         if isinstance(h.phi, GridFunction):
             raise ValueError("probe density must be power terms")
-        hb = np.atleast_1d(terms_eval(frac_integral_terms(alpha, h.phi), b, a, b))
-        if float(np.max(np.abs(hb))) > 1e-10 * max(1.0, p.length**alpha):
+        h_terms = frac_integral_terms(p.alpha, h.phi)
+        hb = np.atleast_1d(terms_eval(h_terms, b, a, b))
+        if float(np.max(np.abs(hb))) > 1e-10 * max(1.0, p.length**p.alpha):
             raise ValueError("probe must vanish at t = b")
-        defect = 0.0
-        for k in range(problem.m):
-            hk = frac_integral_terms(alpha, _component_terms(h.phi, k))
-            defect += float(np.sum(terms_product_integral(_split_component_terms(q, k), hk, a, b)))
-            defect -= float(np.sum(terms_product_integral(_component_terms(problem.f, k), hk, a, b)))
-            defect += float(
-                np.sum(
-                    terms_product_integral(
-                        _component_terms(q.phi, k), _component_terms(h.phi, k), a, b
-                    )
-                )
-            )
-        out[idx] = defect
+        out[idx] = inner(q_terms, h_terms) - inner(problem.f, h_terms) + inner(q.phi, h.phi)
     return out
 
 

@@ -9,8 +9,10 @@ stdout or the requested output file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -18,6 +20,7 @@ import numpy as np
 from . import io as fio
 from .core import (
     _evaluate,
+    FracParams,
     Grid,
     GridFunction,
     RegimeError,
@@ -101,12 +104,7 @@ def cmd_apply(args) -> int:
     if args.output:
         fio.write_grid_csv(args.output, out)
     else:
-        header = "t," + ",".join(f"v{k}" for k in range(out.m))
-        lines = [header] + [
-            ",".join([fio.fmt(t)] + [fio.fmt(v) for v in row])
-            for t, row in zip(out.grid.nodes, out.values)
-        ]
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(fio._grid_csv_text(out))
     return EXIT_OK
 
 
@@ -180,26 +178,12 @@ def cmd_solve_bvp(args) -> int:
     with open(args.problem) as fh:
         cfg = json.load(fh)
     try:
-        from .core import FracParams
-
-        params = FracParams(float(cfg["alpha"]), 2.0, float(cfg["a"]), float(cfg["b"]))
-        qa = np.asarray(cfg["qa"], dtype=float)
-        qb = np.asarray(cfg["qb"], dtype=float)
+        alpha, a, b = (float(cfg[k]) for k in ("alpha", "a", "b"))
+        qa, qb = (np.asarray(cfg[k], dtype=float) for k in ("qa", "qb"))
         f_cfg = cfg["f"]
         if f_cfg["kind"] == "poly":
-            f = [
-                PowerTerm(
-                    np.asarray(t["coeff"], dtype=float)
-                    if isinstance(t["coeff"], list)
-                    else float(t["coeff"]),
-                    float(t["exponent"]),
-                    Side.LEFT if t.get("side", "left") == "left" else Side.RIGHT,
-                )
-                for t in f_cfg["terms"]
-            ]
+            f = fio._terms_from_json(f_cfg["terms"])
         elif f_cfg["kind"] == "grid":
-            import os
-
             f = fio.read_grid_csv(
                 os.path.join(os.path.dirname(args.problem) or ".", f_cfg["csv"])
             )
@@ -208,8 +192,12 @@ def cmd_solve_bvp(args) -> int:
         basis_degree = int(
             args.basis_degree if args.basis_degree is not None else cfg["basis_degree"]
         )
-    except (KeyError, TypeError) as exc:
+    except fio.ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise fio.ParseError(f"malformed problem JSON: {exc}") from exc
+    fio._require_finite([alpha, a, b, qa, qb], args.problem)
+    params = FracParams(alpha, 2.0, a, b)
     problem = BvpProblem(params, f, qa, qb)
     sol = solve_bvp(problem, basis_degree)
     out = {
@@ -309,6 +297,7 @@ def cmd_convergence(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fraclab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -193,7 +193,8 @@ def _weight_matrix(alpha: float, a: float, b: float, n: int) -> np.ndarray:
         for i in range(2, n + 1):
             w[i, 1:i] = interior[i - 2 :: -1]
     # Scheme sanity: for this kernel every product-trapezoidal weight is >= 0.
-    assert np.all(w >= 0.0)
+    if not np.all(w >= 0.0):
+        raise ArithmeticError(f"negative or nan product-trapezoidal weight (alpha={alpha}, n={n})")
     w.setflags(write=False)
     return w
 
@@ -403,6 +404,14 @@ class RightSplitFunction:
     @cached_property
     def _regular(self) -> Density:
         return _integrate(self.params, self.psi)
+
+
+def _power_terms(q: SplitFunction | RightSplitFunction) -> list[PowerTerm]:
+    """q as power terms: the kernel coeff u^(alpha-1)/Gamma(alpha) plus I^alpha
+    of its power-term density (u = t-a on the left, b-t on the right)."""
+    alpha = q.params.alpha
+    coeff, side = (q.c, Side.LEFT) if isinstance(q, SplitFunction) else (q.d, Side.RIGHT)
+    return [PowerTerm(coeff / gamma(alpha), alpha - 1.0, side)] + q._regular
 
 
 def eval_split(q: SplitFunction, t: float) -> np.ndarray:

@@ -23,11 +23,12 @@ from .core import (
     RightSplitFunction,
     SplitFunction,
     _evaluate,
+    _power_terms,
     build_weight_operator,
     eval_right_split,
     eval_split,
 )
-from .special import PowerTerm, Side, gamma, terms_product_integral
+from .special import Side, terms_product_integral
 
 __all__ = ["IbpReport", "ibp_report"]
 
@@ -85,14 +86,10 @@ def _report(lhs, rhs, boundary_b, boundary_a, tol_scale) -> IbpReport:
 
 
 def _closed_form(q1: SplitFunction, q2: RightSplitFunction) -> IbpReport:
-    p = q1.params
-    a, b, alpha = p.a, p.b, p.alpha
-    # q1 = c kernel + I^a phi (left-sided terms), q2 mirrored on the right.
-    q1_terms = [PowerTerm(q1.c / gamma(alpha), alpha - 1.0, Side.LEFT)] + q1._regular
-    q2_terms = [PowerTerm(q2.d / gamma(alpha), alpha - 1.0, Side.RIGHT)] + q2._regular
-
-    lhs = float(np.sum(terms_product_integral(q1.phi, q2_terms, a, b)))
-    rhs = float(np.sum(terms_product_integral(q1_terms, q2.psi, a, b)))
+    # q1 = c kernel + I^a phi as left-sided terms, q2 mirrored on the right.
+    a, b = q1.params.a, q1.params.b
+    lhs = float(np.sum(terms_product_integral(q1.phi, _power_terms(q2), a, b)))
+    rhs = float(np.sum(terms_product_integral(_power_terms(q1), q2.psi, a, b)))
     boundary_b, boundary_a = _boundary_terms(q1, q2)
     return _report(lhs, rhs, boundary_b, boundary_a, 1e-12)
 

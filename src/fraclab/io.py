@@ -43,13 +43,17 @@ def _require_finite(values, what: str) -> None:
         raise ParseError(f"{what}: non-finite entry (nan or inf)")
 
 
-def write_grid_csv(path: str, f: GridFunction) -> None:
-    header = "t," + ",".join(f"v{k}" for k in range(f.m))
-    lines = [header]
+def _grid_csv_text(f: GridFunction) -> str:
+    """The CSV form of grid samples: header ``t,v0,...``, then one row per node."""
+    lines = ["t," + ",".join(f"v{k}" for k in range(f.m))]
     for t, row in zip(f.grid.nodes, f.values):
         lines.append(",".join([fmt(t)] + [fmt(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def write_grid_csv(path: str, f: GridFunction) -> None:
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_grid_csv_text(f))
 
 
 def read_grid_csv(path: str) -> GridFunction:
@@ -92,16 +96,21 @@ def _terms_to_json(terms) -> list[dict]:
     return [{"coeff": _coeff_to_json(t.coeff), "exponent": float(t.exponent)} for t in terms]
 
 
-def _terms_from_json(items, side: Side) -> list[PowerTerm]:
+def _terms_from_json(items, side: Side | None = None) -> list[PowerTerm]:
+    """Power terms from JSON items; with ``side`` None each item names its own
+    ``"side"`` (``"left"`` when absent)."""
     out = []
-    for it in items:
-        coeff = it["coeff"]
-        coeff = np.asarray(coeff, dtype=float) if isinstance(coeff, list) else float(coeff)
-        try:
-            _require_finite([coeff, float(it["exponent"])], "power term")
-            out.append(PowerTerm(coeff, float(it["exponent"]), side))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+    try:
+        for it in items:
+            coeff = it["coeff"]
+            coeff = np.asarray(coeff, dtype=float) if isinstance(coeff, list) else float(coeff)
+            exponent = float(it["exponent"])
+            _require_finite([coeff, exponent], "power term")
+            out.append(PowerTerm(coeff, exponent, side or Side(it.get("side", "left"))))
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed power term: {exc}") from exc
     return out
 
 

@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
 
 from fraclab.bvp import (
+    _gauss_jacobi,
     BvpProblem,
     assemble_system,
     feasible_element,
@@ -162,6 +164,85 @@ class TestAssembly:
             assemble_system(prob, 13)
 
 
+class TestGaussJacobi:
+    # (wa, wb) with wa + wb <= 0 included: a right forcing exponent of -alpha
+    EXPONENTS = [(0.0, 0.0), (0.0, 1.2), (0.4, 0.6), (-0.6, 0.6), (-0.45, 0.3), (0.9, -0.5)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 13])
+    def test_exact_below_degree_2n(self, n):
+        wa, wb = np.array(self.EXPONENTS).T
+        x, w = _gauss_jacobi(n, wa, wb)
+        assert x.shape == w.shape == (len(wa), n)
+        for r, (ea, eb) in enumerate(self.EXPONENTS):
+            ea, eb = mp.mpf(ea), mp.mpf(eb)
+            mass = 2 ** (ea + eb + 1) * mp.beta(ea + 1, eb + 1)
+            for k in range(2 * n):
+                # x^k = sum_i C(k, i) (-1)^(k-i) (1+x)^i and
+                # int (1-x)^wa (1+x)^(wb+i) = 2^(wa+wb+i+1) B(wa+1, wb+i+1)
+                with mp.workdps(40):  # the alternating sum cancels
+                    ref = mp.fsum(
+                        mp.binomial(k, i) * (-1) ** (k - i)
+                        * 2 ** (ea + eb + i + 1) * mp.beta(ea + 1, eb + i + 1)
+                        for i in range(k + 1)
+                    )
+                got = float(np.sum(w[r] * x[r] ** k))
+                assert abs(got - float(ref)) <= 1e-14 * float(mass)
+
+
+def monomial_system(problem, basis_degree):
+    """The assembly from closed-form power-term products, the reference."""
+    p = problem.params
+    a, b, alpha = p.a, p.b, p.alpha
+    basis = [shifted_legendre_terms(j, a, b) for j in range(basis_degree + 1)]
+    trial = [frac_integral_terms(alpha, bj) for bj in basis]
+    gram = np.array(
+        [[float(np.sum(terms_product_integral(ti, tj, a, b))) for tj in trial] for ti in trial]
+    )
+    gram += np.diag(p.length / (2.0 * np.arange(basis_degree + 1) + 1.0))
+    q0 = feasible_element(problem)
+    q0_terms = [PowerTerm(q0.c / gamma(alpha), alpha - 1.0)] + frac_integral_terms(alpha, q0.phi)
+    load = np.array([
+        terms_product_integral(problem.f, ti, a, b)
+        - terms_product_integral(q0_terms, ti, a, b)
+        - terms_product_integral(q0.phi, bi, a, b)
+        for ti, bi in zip(trial, basis)
+    ])
+    constraint = np.array([float(terms_eval(ti, b, a, b)) for ti in trial])
+    return gram, load, constraint
+
+
+class TestJacobiAssembly:
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (-0.5, 2.0)])
+    def test_matches_monomial_path(self, alpha, a, b):
+        p = params(alpha=alpha, a=a, b=b)
+        # m = 2, left and right terms, the kernel exponent alpha - 1 among them
+        f = [
+            PowerTerm(np.array([0.7, -0.2]), alpha - 1.0, Side.LEFT),
+            PowerTerm(np.array([1.1, 0.4]), 1.5, Side.LEFT),
+            PowerTerm(np.array([-0.3, 0.9]), 1.0 - alpha, Side.RIGHT),
+            PowerTerm(0.5, 2.0, Side.RIGHT),
+        ]
+        prob = BvpProblem(p, f, np.array([0.3, -0.1]), np.array([0.8, 0.2]))
+        for n in range(5):
+            got = assemble_system(prob, n)
+            for g, r in zip(got, monomial_system(prob, n)):
+                # the reference itself rounds at a level that grows with b - a
+                assert np.max(np.abs(g - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
+    @pytest.mark.parametrize("alpha", [0.55, 0.6, 0.75, 0.9])
+    def test_degree_12_manufactured_recovery(self, alpha):
+        # phi* = 1 - t^2 has Legendre degree 2: the tail coefficients vanish
+        p = params(alpha=alpha)
+        phi_star = [PowerTerm(2.0, 1.0, Side.RIGHT), PowerTerm(-1.0, 2.0, Side.RIGHT)]
+        prob, q_star = manufactured_problem(p, phi_star, [0.3])
+        sol = solve_bvp(prob, 12)
+        assert np.max(np.abs(sol.coeffs[3:])) <= 1e-13
+        ts = np.linspace(0.05, 1.0, 20)
+        err = max(abs(float(eval_split(sol.q, t)[0] - eval_split(q_star, t)[0])) for t in ts)
+        assert err <= 1e-13
+
+
 class TestSolve:
     def test_zero_problem(self):
         prob = BvpProblem(params(), [], [0.0], [0.0])
@@ -258,14 +339,13 @@ class TestSolve:
         prob = BvpProblem(p, f, [0.5], [-0.25])
 
         def energy(sol, problem):
-            # 1/2 a(q,q) - int f.q in closed form
-            from fraclab.bvp import _split_component_terms, _component_terms
-
-            qk = _split_component_terms(sol.q, 0)
-            pk = _component_terms(sol.q.phi, 0)
-            aqq = float(np.sum(terms_product_integral(qk, qk, p.a, p.b)))
-            aqq += float(np.sum(terms_product_integral(pk, pk, p.a, p.b)))
-            lin = float(np.sum(terms_product_integral(_component_terms(problem.f, 0), qk, p.a, p.b)))
+            # 1/2 a(q,q) - int f.q in closed form; q = c kernel + I^a phi
+            q = sol.q
+            kernel = PowerTerm(q.c / gamma(p.alpha), p.alpha - 1.0, Side.LEFT)
+            qt = [kernel] + frac_integral_terms(p.alpha, q.phi)
+            aqq = float(np.sum(terms_product_integral(qt, qt, p.a, p.b)))
+            aqq += float(np.sum(terms_product_integral(q.phi, q.phi, p.a, p.b)))
+            lin = float(np.sum(terms_product_integral(problem.f, qt, p.a, p.b)))
             return 0.5 * aqq - lin
 
         vals = [energy(solve_bvp(prob, n), prob) for n in (2, 4, 6, 8)]

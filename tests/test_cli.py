@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(TESTS, "fixtures")
 SRC = os.path.join(os.path.dirname(TESTS), "src")
+DEMOS = os.path.join(os.path.dirname(TESTS), "demos")
 
 
 def cli_env():
@@ -192,6 +194,29 @@ class TestNonFiniteFailsClosed:
         assert "NaN" not in out.stdout and "Infinity" not in out.stdout
 
 
+class TestSolveBvpInputFailsClosed:
+    """Malformed or non-finite problem data is a parse error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg["f"]["terms"][0].update(coeff=float("nan")),
+            lambda cfg: cfg.update(qa=[float("nan")]),
+            lambda cfg: cfg["f"]["terms"][0].update(coeff="abc"),
+            lambda cfg: cfg["f"]["terms"][2].update(side="Left"),
+        ],
+        ids=["nan_coefficient", "nan_qa", "string_coefficient", "unknown_side"],
+    )
+    def test_is_2(self, tmp_path, edit):
+        cfg = json.loads(golden("bvp_manufactured.json"))
+        edit(cfg)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(cfg))  # nan comes out as NaN
+        out = run_cli("solve-bvp", str(path), cwd=str(tmp_path))
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("parse error")
+
+
 class TestApplyBehavior:
     def test_ileft_of_ones_matches_power(self):
         out = run_cli("apply", "--op", "ileft", "--alpha", "0.5", "ones.csv")
@@ -278,3 +303,12 @@ class TestConvergenceCommand:
             "--n-list", "64",
         )
         assert out.returncode == 2
+
+
+@pytest.mark.parametrize("demo", sorted(f for f in os.listdir(DEMOS) if f.endswith(".py")))
+def test_demo_runs(demo, tmp_path):
+    out = subprocess.run(
+        [sys.executable, os.path.join(DEMOS, demo)],
+        capture_output=True, text=True, cwd=str(tmp_path), env=cli_env(),
+    )
+    assert out.returncode == 0, out.stderr

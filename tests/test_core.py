@@ -127,6 +127,22 @@ class TestWeightOperator:
         assert np.max(rel) <= 1e-12
         assert out.values[0, 0] == 0.0
 
+    def test_negative_weight_fails_closed(self, monkeypatch):
+        # a real check, not an assert, so that python -O keeps it
+        import os
+
+        from fraclab import cli, core
+
+        monkeypatch.setattr(core, "_first_column", lambda alpha, i: -np.ones_like(i))
+        core._weight_matrix.cache_clear()
+        try:
+            with pytest.raises(ArithmeticError):
+                build_weight_operator(0.5, Grid(0.0, 1.0, 8))
+            ones = os.path.join(os.path.dirname(__file__), "fixtures", "ones.csv")
+            assert cli.main(["apply", "--op", "ileft", "--alpha", "0.5", ones]) == 4
+        finally:
+            core._weight_matrix.cache_clear()
+
     def test_cache_returns_readonly(self):
         g = Grid(0.0, 1.0, 8)
         w = build_weight_operator(0.5, g).weights
