@@ -57,7 +57,7 @@ two = frac_integral_power(0.7, PowerTerm(1.0, 0.0))
 print("\nsemigroup on powers: I^0.3 I^0.4 1 vs I^0.7 1")
 print(f"  coefficients {float(np.asarray(one.coeff)):.15f} vs {float(np.asarray(two.coeff)):.15f}")
 
-# Grid operators: product-trapezoidal weights behind a dense matrix.
+# Grid operators: product-trapezoidal weights, applied as an FFT convolution.
 grid = Grid(0.0, 1.0, 512)
 f = GridFunction(grid, np.ones((513, 1)))
 out = left_integral(0.5, f)

@@ -136,7 +136,11 @@ def _lagrangian_from_config(cfg, params):
         if cfg == "quadratic":
             return quadratic_lagrangian(params.alpha, params.p)
         if cfg.startswith("power:"):
-            return power_lagrangian(float(cfg.split(":", 1)[1]), params.alpha, params.p)
+            try:
+                r = float(cfg.split(":", 1)[1])
+            except ValueError as exc:
+                raise fio.ParseError(f"bad Lagrangian preset {cfg!r}") from exc
+            return power_lagrangian(r, params.alpha, params.p)
         raise fio.ParseError(f"unknown Lagrangian preset {cfg!r}")
     if isinstance(cfg, dict) and "monomials" in cfg:
         return poly_lagrangian(cfg["monomials"], params.alpha, params.p, params.a, params.b)
@@ -146,16 +150,20 @@ def _lagrangian_from_config(cfg, params):
 def cmd_el_check(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    q_cfg = cfg["q"]
-    q = (
-        fio.read_split_json(q_cfg)
-        if isinstance(q_cfg, str)
-        else fio.split_from_dict(q_cfg)
-    )
+    try:
+        q_cfg = cfg["q"]
+        q = fio.read_split_json(q_cfg) if isinstance(q_cfg, str) else fio.split_from_dict(q_cfg)
+        lagrangian = cfg.get("lagrangian", "quadratic")
+        quad_n = (
+            args.quad_n
+            if args.quad_n is not None
+            else fio._number(cfg.get("quad_n", 256), "quad_n", int)
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise fio.ParseError(f"malformed el-check config: {exc}") from exc
     if not isinstance(q, SplitFunction):
         raise CliError(EXIT_REGIME, "el-check needs a left split function")
-    spec = _lagrangian_from_config(cfg.get("lagrangian", "quadratic"), q.params)
-    quad_n = args.quad_n if args.quad_n is not None else int(cfg.get("quad_n", 256))
+    spec = _lagrangian_from_config(lagrangian, q.params)
     report = el_report(spec, q, quad_n=quad_n)
     lo = 0 if report.el_residual.left_endpoint_finite else 1
     out = {
@@ -178,8 +186,8 @@ def cmd_solve_bvp(args) -> int:
     with open(args.problem) as fh:
         cfg = json.load(fh)
     try:
-        alpha, a, b = (float(cfg[k]) for k in ("alpha", "a", "b"))
-        qa, qb = (np.asarray(cfg[k], dtype=float) for k in ("qa", "qb"))
+        alpha, a, b = (fio._number(cfg[k], k) for k in ("alpha", "a", "b"))
+        qa, qb = (np.asarray(fio._numbers(cfg[k], k)) for k in ("qa", "qb"))
         f_cfg = cfg["f"]
         if f_cfg["kind"] == "poly":
             f = fio._terms_from_json(f_cfg["terms"])
@@ -189,8 +197,10 @@ def cmd_solve_bvp(args) -> int:
             )
         else:
             raise fio.ParseError(f"unknown forcing kind {f_cfg['kind']!r}")
-        basis_degree = int(
-            args.basis_degree if args.basis_degree is not None else cfg["basis_degree"]
+        basis_degree = (
+            args.basis_degree
+            if args.basis_degree is not None
+            else fio._number(cfg["basis_degree"], "basis_degree", int)
         )
     except fio.ParseError:
         raise
@@ -362,7 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ArithmeticError, np.linalg.LinAlgError, RuntimeWarning) as exc:
+        # RuntimeWarning arrives here when the caller's warning filters turn
+        # numpy's overflow or invalid-value warnings into errors.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -140,6 +140,72 @@ class GridFunction:
         return GridFunction(self.grid, self.values[::-1].copy(), True)
 
 
+def _second_difference(alpha: float, k: np.ndarray) -> np.ndarray:
+    # (k-1)^e - 2 k^e + (k+1)^e with e = alpha + 1, for integers k >= 1.
+    # For k >= 2 this is 2 k^e sum_{j>=1} binom(e, 2j) k^(-2j): for e in
+    # (1, 2] every term is positive, so no digits cancel however small alpha
+    # is, and 30 terms reach rounding level at k = 2.  k = 1 gives 2^e - 2.
+    e = alpha + 1.0
+    x = 1.0 / k**2
+    coeffs, b = [], alpha * e / 2.0
+    for j in range(1, 31):
+        coeffs.append(b)  # binom(e, 2j)
+        b *= (e - 2 * j) * (e - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2))
+    s = np.zeros_like(x)
+    for b in reversed(coeffs):
+        s += b
+        s *= x
+    return np.where(k == 1.0, 2.0 * math.expm1(alpha * math.log(2.0)), 2.0 * k**e * s)
+
+
+def _first_column(alpha: float, i: np.ndarray) -> np.ndarray:
+    # e i^alpha - i^e + (i-1)^e for integers i >= 1, the same way: i^e times
+    # (1-x)^e - 1 + e x = sum_{j>=2} binom(e, j) (-x)^j at x = 1/i, again
+    # all positive terms; 60 of them reach rounding level at i = 2.  i = 1
+    # gives alpha.
+    e = alpha + 1.0
+    x = 1.0 / i
+    coeffs, d = [], alpha * e / 2.0
+    for j in range(2, 62):
+        coeffs.append(d)  # binom(e, j) (-1)^j
+        d *= (j - e) / (j + 1)
+    s = np.zeros_like(x)
+    for d in reversed(coeffs):
+        s += d
+        s *= x
+    return np.where(i == 1.0, alpha, i**e * s * x)
+
+
+def _weight_parts(alpha: float, a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The O(n) numbers behind the weights: col = w[1:, 0] and the Toeplitz
+    kernel c with w[i, j] = c[i - j] for 1 <= j <= i, both of length n."""
+    pref = ((b - a) / n) ** alpha / gamma(alpha + 2.0)
+    i = np.arange(1, n + 1, dtype=float)
+    col = pref * _first_column(alpha, i)
+    c = np.empty(n)
+    c[0] = pref
+    c[1:] = pref * _second_difference(alpha, i[:-1])
+    # Scheme sanity: for this kernel every product-trapezoidal weight is >= 0.
+    if not (np.all(col >= 0.0) and np.all(c >= 0.0)):
+        raise ArithmeticError(f"negative or nan product-trapezoidal weight (alpha={alpha}, n={n})")
+    return col, c
+
+
+def _fft_length(n: int) -> int:
+    """Smallest power of two >= 2n - 1: room for a linear convolution of length-n sequences."""
+    return 2 << (n - 1).bit_length()
+
+
+@functools.lru_cache(maxsize=32)
+def _weight_kernel(alpha: float, a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only col and rfft(c, L) of :func:`_weight_parts`, L = _fft_length(n)."""
+    col, c = _weight_parts(alpha, a, b, n)
+    c_hat = np.fft.rfft(c, _fft_length(n))
+    col.setflags(write=False)
+    c_hat.setflags(write=False)
+    return col, c_hat
+
+
 @dataclass(frozen=True)
 class WeightOperator:
     """Lower-triangular weights w with (I^alpha f)(t_i) ~= sum_j w[i, j] f(t_j).
@@ -147,68 +213,53 @@ class WeightOperator:
     Product-trapezoidal: the kernel (t_i - tau)^(alpha-1)/Gamma(alpha) is
     integrated exactly against the piecewise-linear interpolant of f, so
     rows applied to constants reproduce (t_i - a)^alpha / Gamma(alpha+1)
-    and linear data is integrated exactly.
+    and linear data is integrated exactly.  w is a first column plus a
+    Toeplitz part; only those O(n) numbers are kept, and :meth:`apply`
+    convolves with the Toeplitz part by FFT in O(n log n).
     """
 
     alpha: float
     grid: Grid
-    weights: np.ndarray
+    col: np.ndarray = field(repr=False)  # w[1:, 0]
+    c_hat: np.ndarray = field(repr=False)  # rfft of the Toeplitz kernel, length L
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.weights @ values
+        """w @ values for values of shape (n+1,) or (n+1, m); row 0 is 0."""
+        v = np.asarray(values, dtype=float)
+        n = self.grid.n
+        if v.shape[:1] != (n + 1,):
+            raise ValueError(f"values must have {n + 1} rows, got shape {v.shape}")
+        L = _fft_length(n)
+        c_hat = self.c_hat.reshape(self.c_hat.shape + (1,) * (v.ndim - 1))
+        # Scaling by a power of two is exact and keeps the FFT's partial sums,
+        # up to L max|v|, from overflowing on samples near the float limit.
+        e = math.frexp(float(np.max(np.abs(v))))[1]
+        conv = np.fft.irfft(np.fft.rfft(np.ldexp(v[1:], -e), L, axis=0) * c_hat, L, axis=0)
+        out = np.zeros(v.shape)
+        out[1:] = np.multiply.outer(self.col, v[0]) + np.ldexp(conv[:n], e)
+        return out
 
-
-def _second_difference(alpha: float, k: np.ndarray) -> np.ndarray:
-    # (k-1)^(a+1) - 2 k^(a+1) + (k+1)^(a+1), evaluated as
-    # k^(a+1) * (expm1((a+1) log1p(1/k)) + expm1((a+1) log1p(-1/k)))
-    # to avoid the catastrophic cancellation of the direct form.
-    # k = 1 passes through log1p(-1) = -inf, expm1(-inf) = -1 exactly.
-    e = alpha + 1.0
-    with np.errstate(divide="ignore"):
-        up = e * np.log1p(1.0 / k)
-        um = e * np.log1p(-1.0 / k)
-    return k**e * (np.expm1(up) + np.expm1(um))
-
-
-def _first_column(alpha: float, i: np.ndarray) -> np.ndarray:
-    # (alpha+1) i^alpha - i^(alpha+1) + (i-1)^(alpha+1), same rewrite.
-    e = alpha + 1.0
-    with np.errstate(divide="ignore"):
-        u = e * np.log1p(-1.0 / i)
-    return i**e * (e / i + np.expm1(u))
-
-
-@functools.lru_cache(maxsize=32)
-def _weight_matrix(alpha: float, a: float, b: float, n: int) -> np.ndarray:
-    h = (b - a) / n
-    pref = h**alpha / gamma(alpha + 2.0)
-    w = np.zeros((n + 1, n + 1))
-    if n >= 1:
-        i = np.arange(1, n + 1, dtype=float)
-        w[1:, 0] = pref * _first_column(alpha, i)
-        w[np.arange(1, n + 1), np.arange(1, n + 1)] = pref
-    if n >= 2:
-        k = np.arange(1, n, dtype=float)
-        interior = pref * _second_difference(alpha, k)
-        for i in range(2, n + 1):
-            w[i, 1:i] = interior[i - 2 :: -1]
-    # Scheme sanity: for this kernel every product-trapezoidal weight is >= 0.
-    if not np.all(w >= 0.0):
-        raise ArithmeticError(f"negative or nan product-trapezoidal weight (alpha={alpha}, n={n})")
-    w.setflags(write=False)
-    return w
+    def dense(self) -> np.ndarray:
+        """The (n+1, n+1) weight matrix, built on demand and not cached."""
+        n = self.grid.n
+        col, c = _weight_parts(float(self.alpha), self.grid.a, self.grid.b, n)
+        w = np.zeros((n + 1, n + 1))
+        w[1:, 0] = col
+        for i in range(1, n + 1):
+            w[i, 1 : i + 1] = c[i - 1 :: -1]
+        return w
 
 
 def build_weight_operator(alpha: float, grid: Grid) -> WeightOperator:
     """Discrete left-sided fractional integral of order alpha in (0, 1].
 
-    Weight matrices are cached per (alpha, interval, n); the cached array is
-    read-only, so shared use across threads is safe.
+    The O(n) kernels are cached per (alpha, interval, n); the cached arrays
+    are read-only, so shared use across threads is safe.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    w = _weight_matrix(float(alpha), grid.a, grid.b, grid.n)
-    return WeightOperator(alpha, grid, w)
+    col, c_hat = _weight_kernel(float(alpha), grid.a, grid.b, grid.n)
+    return WeightOperator(alpha, grid, col, c_hat)
 
 
 def left_integral(alpha: float, f: GridFunction) -> GridFunction:

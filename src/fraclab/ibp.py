@@ -121,7 +121,6 @@ def _grid_path(q1: SplitFunction, q2: RightSplitFunction, quad_n: int) -> IbpRep
     w = build_weight_operator(alpha, grid)
     i_phi = w.apply(phi)  # I^a_left phi at the nodes
     i_psi = w.apply(psi[::-1])[::-1]  # I^a_right psi at the nodes
-    row_b = w.weights[-1]
 
     h = grid.h
 
@@ -130,7 +129,7 @@ def _grid_path(q1: SplitFunction, q2: RightSplitFunction, quad_n: int) -> IbpRep
         return float(h * (np.sum(prod) - 0.5 * (prod[0] + prod[-1])))
 
     # int phi . (d kernel) = d . (I^a_left phi)(b); mirrored for the c kernel.
-    lhs = trapz_dot(phi, i_psi) + float((row_b @ phi) @ q2.d)
+    lhs = trapz_dot(phi, i_psi) + float(i_phi[-1] @ q2.d)
     rhs = trapz_dot(i_phi, psi) + float(i_psi[0] @ q1.c)
     boundary_b, boundary_a = _boundary_terms(q1, q2)
     return _report(lhs, rhs, boundary_b, boundary_a, 10.0 * h ** (1.0 + alpha))

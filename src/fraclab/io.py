@@ -37,6 +37,24 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _number(x, what: str, kind: type = float):
+    """A JSON number as ``kind``: an int or a float as json.load returns it
+    (an int alone for ``kind=int``).  Strings, bools and null are rejected."""
+    if isinstance(x, bool) or not isinstance(x, (int,) if kind is int else (int, float)):
+        raise ParseError(f"{what}: expected a JSON {kind.__name__}, got {x!r}")
+    try:
+        return kind(x)
+    except OverflowError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
+def _numbers(x, what: str) -> float | np.ndarray:
+    """A JSON number, or a list of them as a float array."""
+    if isinstance(x, list):
+        return np.array([_number(v, what) for v in x], dtype=float)
+    return _number(x, what)
+
+
 def _require_finite(values, what: str) -> None:
     ok = (np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x) for x in values)
     if not all(ok):
@@ -77,8 +95,10 @@ def read_grid_csv(path: str) -> GridFunction:
     t = data[:, 0]
     n = len(t) - 1
     a, b = float(t[0]), float(t[-1])
-    if not a < b:
+    if not np.all(t[1:] > t[:-1]):
         raise ParseError(f"{path}: nodes must increase")
+    if not math.isfinite(b - a):
+        raise ParseError(f"{path}: node span {a} to {b} overflows")
     h = (b - a) / n
     if np.max(np.abs(np.diff(t) - h)) > 1e-12 * (b - a):
         raise ParseError(f"{path}: nodes are not uniformly spaced")
@@ -102,9 +122,8 @@ def _terms_from_json(items, side: Side | None = None) -> list[PowerTerm]:
     out = []
     try:
         for it in items:
-            coeff = it["coeff"]
-            coeff = np.asarray(coeff, dtype=float) if isinstance(coeff, list) else float(coeff)
-            exponent = float(it["exponent"])
+            coeff = _numbers(it["coeff"], "power term coeff")
+            exponent = _number(it["exponent"], "power term exponent")
             _require_finite([coeff, exponent], "power term")
             out.append(PowerTerm(coeff, exponent, side or Side(it.get("side", "left"))))
     except ParseError:
@@ -141,15 +160,17 @@ def split_from_dict(d: dict, base_dir: str = ".") -> SplitFunction | RightSplitF
     try:
         p_raw = d.get("p")
         params = FracParams(
-            alpha=float(d["alpha"]),
-            p=math.inf if p_raw is None else float(p_raw),
-            a=float(d["a"]),
-            b=float(d["b"]),
+            alpha=_number(d["alpha"], "alpha"),
+            p=math.inf if p_raw is None else _number(p_raw, "p"),
+            a=_number(d["a"], "a"),
+            b=_number(d["b"], "b"),
         )
         side = d.get("side", "left")
-        c = np.asarray(d["c"], dtype=float)
+        c = _numbers(d["c"], "c")
         phi = d["phi"]
         kind = phi["kind"]
+    except ParseError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed split-function JSON: {exc}") from exc
     _require_finite([params.a, params.b, c], "split-function JSON")

@@ -1,12 +1,17 @@
 """CLI contract: golden files, byte-identity with the library, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(TESTS, "fixtures")
@@ -204,8 +209,17 @@ class TestSolveBvpInputFailsClosed:
             lambda cfg: cfg.update(qa=[float("nan")]),
             lambda cfg: cfg["f"]["terms"][0].update(coeff="abc"),
             lambda cfg: cfg["f"]["terms"][2].update(side="Left"),
+            # numeric strings and bools are not JSON numbers
+            lambda cfg: [cfg.update(alpha="0.6")]
+            + [t.update(coeff=str(t["coeff"])) for t in cfg["f"]["terms"]],
+            lambda cfg: cfg.update(qb=["0.78"]),
+            lambda cfg: cfg["f"]["terms"][1].update(exponent=True),
+            lambda cfg: cfg.update(basis_degree="4"),
         ],
-        ids=["nan_coefficient", "nan_qa", "string_coefficient", "unknown_side"],
+        ids=[
+            "nan_coefficient", "nan_qa", "string_coefficient", "unknown_side",
+            "numeric_strings", "string_qb", "bool_exponent", "string_basis_degree",
+        ],
     )
     def test_is_2(self, tmp_path, edit):
         cfg = json.loads(golden("bvp_manufactured.json"))
@@ -312,3 +326,64 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, cwd=str(tmp_path), env=cli_env(),
     )
     assert out.returncode == 0, out.stderr
+
+
+SPECIAL_SAMPLES = ["nan", "inf", "-inf", "1e308", "-1e308"]
+
+
+@st.composite
+def grid_csvs(draw):
+    """CSV text for ``apply``: mostly well-formed, with special samples, short
+    files, non-uniform or unsorted nodes mixed in.  Returns (text, n_rows)."""
+    n_rows = draw(st.integers(0, 40))
+    m = draw(st.integers(1, 3))
+    a = draw(st.floats(-10.0, 10.0))
+    h = draw(st.floats(1e-3, 10.0))
+    nodes = [repr(a + i * h) for i in range(n_rows)]
+    layout = draw(st.sampled_from(["uniform"] * 4 + ["jitter", "unsorted"]))
+    if layout == "jitter" and n_rows > 2:
+        i = draw(st.integers(1, n_rows - 2))
+        nodes[i] = repr(a + (i + draw(st.floats(0.01, 0.49))) * h)
+    elif layout == "unsorted":
+        nodes = draw(st.permutations(nodes))
+    wide = draw(st.booleans())  # samples up to the float limit, or moderate ones
+    sample = st.floats(allow_nan=False, allow_infinity=False) if wide else st.floats(-1e3, 1e3)
+    cells = [[repr(draw(sample)) for _ in range(m + 1)] for _ in range(n_rows)]
+    for row, t in zip(cells, nodes):
+        row[0] = t
+    if n_rows and draw(st.booleans()):  # one special value, the t column included
+        cells[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, m))] = draw(
+            st.sampled_from(SPECIAL_SAMPLES)
+        )
+    header = ",".join(["t"] + [f"v{k}" for k in range(m)])
+    return "\n".join([header] + [",".join(row) for row in cells]) + "\n", n_rows
+
+
+class TestApplyFuzz:
+    """``apply`` in-process on generated CSVs: exit 0, 2 or 4, never a raise,
+    and exit 0 only with every output value finite."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        csv=grid_csvs(),
+        op=st.sampled_from(["ileft", "iright", "dleft", "dright"]),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_exit_code_contract(self, csv, op, alpha):
+        from fraclab import cli
+
+        text, n_rows = csv
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "w") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["apply", "--op", op, "--alpha", repr(alpha), path])
+        allowed = {0, 2, 4}
+        if op[0] == "d" and n_rows == 2:
+            allowed.add(3)  # one subinterval: too few to differentiate
+        assert code in allowed, err.getvalue()
+        if code == 0:
+            values = [float(x) for ln in out.getvalue().splitlines()[1:] for x in ln.split(",")]
+            assert len(values) > 0 and all(math.isfinite(x) for x in values)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
 from fraclab.core import (
@@ -82,7 +84,7 @@ class TestParamsAndGrid:
 class TestWeightOperator:
     def test_classical_trapezoid_at_alpha_one(self):
         g = Grid(0.0, 1.0, 4)
-        w = build_weight_operator(1.0, g).weights
+        w = build_weight_operator(1.0, g).dense()
         h = 0.25
         expected_row = np.array([h / 2, h, h, h / 2, 0.0])
         assert np.allclose(w[3, :], [h / 2, h, h, h / 2, 0.0][:5], atol=1e-15)
@@ -93,21 +95,21 @@ class TestWeightOperator:
     def test_moment_property(self, alpha, n):
         g = Grid(0.0, 1.0, n)
         w = build_weight_operator(alpha, g)
-        sums = w.weights.sum(axis=1)
+        sums = w.dense().sum(axis=1)
         ref = g.nodes**alpha / gamma(alpha + 1.0)
         rel = np.abs(sums[1:] - ref[1:]) / ref[1:]
         assert np.max(rel) <= 1e-12
 
     def test_nonnegative_weights(self):
         for alpha in (0.2, 0.55, 0.95):
-            w = build_weight_operator(alpha, Grid(0.0, 1.0, 64)).weights
+            w = build_weight_operator(alpha, Grid(0.0, 1.0, 64)).dense()
             assert np.min(w) >= 0.0
 
     def test_single_cell_exact_on_linear(self):
         # one cell, f linear: product rule integrates the interpolant exactly
         alpha = 0.5
         g = Grid(0.0, 1.0, 1)
-        w = build_weight_operator(alpha, g).weights
+        w = build_weight_operator(alpha, g).dense()
         f = np.array([[0.3], [1.7]])  # linear nodal data
         got = float((w @ f)[1, 0])
         terms = poly_to_left_terms([0.3, 1.4], 0.0)  # 0.3 + 1.4 t
@@ -134,21 +136,55 @@ class TestWeightOperator:
         from fraclab import cli, core
 
         monkeypatch.setattr(core, "_first_column", lambda alpha, i: -np.ones_like(i))
-        core._weight_matrix.cache_clear()
+        core._weight_kernel.cache_clear()
         try:
             with pytest.raises(ArithmeticError):
                 build_weight_operator(0.5, Grid(0.0, 1.0, 8))
             ones = os.path.join(os.path.dirname(__file__), "fixtures", "ones.csv")
             assert cli.main(["apply", "--op", "ileft", "--alpha", "0.5", ones]) == 4
         finally:
-            core._weight_matrix.cache_clear()
+            core._weight_kernel.cache_clear()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 1.0, exclude_min=True),
+        n=st.integers(1, 600),
+        m=st.sampled_from([1, 2, 3]),
+        a=st.floats(-5.0, 5.0),
+        length=st.floats(1e-3, 10.0),
+        data=st.data(),
+    )
+    def test_fft_apply_matches_dense(self, alpha, n, m, a, length, data):
+        v = data.draw(hnp.arrays(float, (n + 1, m), elements=st.floats(-1e6, 1e6)))
+        w = build_weight_operator(alpha, Grid(a, a + length, n))
+        dense = w.dense()
+        scale = np.max(np.abs(dense @ np.abs(v)))
+        assert np.max(np.abs(w.apply(v) - dense @ v)) <= 1e-13 * scale
+
+    def test_kernel_at_rounding_level(self):
+        # every weight, first column included, against the direct differences
+        # of k^(alpha+1) at 40 digits: relative error a few ulp for any alpha
+        from fraclab.core import _weight_parts
+
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        n = 4000
+        for alpha in (1e-12, 1e-3, 0.125, 0.5, 0.875, 1.0):
+            col, c = _weight_parts(alpha, 0.0, float(n), n)  # h = 1
+            e = mp.mpf(alpha) + 1
+            pref = 1 / mp.gamma(e + 1)
+            for k in (1, 2, 3, 7, 100, n - 1):
+                ref_col = pref * (e * mp.mpf(k) ** alpha - mp.mpf(k) ** e + mp.mpf(k - 1) ** e)
+                ref_c = pref * (mp.mpf(k - 1) ** e - 2 * mp.mpf(k) ** e + mp.mpf(k + 1) ** e)
+                assert abs(col[k - 1] / ref_col - 1) <= 4e-15, (alpha, k)
+                assert abs(c[k] / ref_c - 1) <= 4e-15, (alpha, k)
 
     def test_cache_returns_readonly(self):
-        g = Grid(0.0, 1.0, 8)
-        w = build_weight_operator(0.5, g).weights
-        assert not w.flags.writeable
-        w2 = build_weight_operator(0.5, Grid(0.0, 1.0, 8)).weights
-        assert w is w2  # cached
+        w = build_weight_operator(0.5, Grid(0.0, 1.0, 8))
+        assert not w.col.flags.writeable
+        assert not w.c_hat.flags.writeable
+        w2 = build_weight_operator(0.5, Grid(0.0, 1.0, 8))
+        assert w.col is w2.col and w.c_hat is w2.c_hat  # cached
 
 
 class TestIntegralOperators:

@@ -115,3 +115,36 @@ def test_split_json_malformed(tmp_path):
         path.write_text(json.dumps({**split, "phi": {"kind": "poly", "terms": terms}}))
         with pytest.raises(ParseError, match="non-finite"):
             read_split_json(str(path))
+
+
+@pytest.mark.parametrize("bad", ["2.25", True, None, ["1.0"]], ids=["string", "bool", "null", "string_list"])
+@pytest.mark.parametrize("field", ["coeff", "exponent"])
+def test_power_terms_require_json_numbers(field, bad):
+    from fraclab.io import _terms_from_json
+
+    with pytest.raises(ParseError, match="expected a JSON float"):
+        _terms_from_json([{"coeff": 1.0, "exponent": 0.5, field: bad}])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"alpha": "0.5"},
+        {"a": False},
+        {"b": "1"},
+        {"p": "2.0"},
+        {"c": ["0.0"]},
+        {"c": [True]},
+    ],
+    ids=["alpha_string", "a_bool", "b_string", "p_string", "c_string", "c_bool"],
+)
+def test_split_dict_requires_json_numbers(edit):
+    from fraclab.io import split_from_dict
+
+    d = {
+        "alpha": 0.5, "p": 4.0, "a": 0.0, "b": 1.0, "side": "left", "c": [0.0],
+        "phi": {"kind": "poly", "terms": [{"coeff": 1.0, "exponent": 0.0}]},
+    }
+    split_from_dict(d)  # the unedited dict reads
+    with pytest.raises(ParseError, match="expected a JSON float"):
+        split_from_dict({**d, **edit})
