@@ -143,7 +143,15 @@ def _lagrangian_from_config(cfg, params):
             return power_lagrangian(r, params.alpha, params.p)
         raise fio.ParseError(f"unknown Lagrangian preset {cfg!r}")
     if isinstance(cfg, dict) and "monomials" in cfg:
-        return poly_lagrangian(cfg["monomials"], params.alpha, params.p, params.a, params.b)
+        monomials = []
+        for m in cfg["monomials"]:
+            if not (isinstance(m, list) and len(m) == 4):
+                raise fio.ParseError(f"a monomial is [i, j, k, c], got {m!r}")
+            powers = [fio._number(x, "monomial power", int) for x in m[:3]]
+            c = fio._number(m[3], "monomial coefficient")
+            fio._require_finite([c], "monomial coefficient")
+            monomials.append((*powers, c))
+        return poly_lagrangian(monomials, params.alpha, params.p, params.a, params.b)
     raise fio.ParseError("Lagrangian config must be a preset name or {'monomials': ...}")
 
 

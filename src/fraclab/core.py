@@ -140,6 +140,15 @@ class GridFunction:
         return GridFunction(self.grid, self.values[::-1].copy(), True)
 
 
+def _power_series(coeffs: list[float], x: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[j] x^(j+1) by Horner's rule."""
+    s = np.zeros_like(x)
+    for b in reversed(coeffs):
+        s += b
+        s *= x
+    return s
+
+
 def _second_difference(alpha: float, k: np.ndarray) -> np.ndarray:
     # (k-1)^e - 2 k^e + (k+1)^e with e = alpha + 1, for integers k >= 1.
     # For k >= 2 this is 2 k^e sum_{j>=1} binom(e, 2j) k^(-2j): for e in
@@ -151,10 +160,7 @@ def _second_difference(alpha: float, k: np.ndarray) -> np.ndarray:
     for j in range(1, 31):
         coeffs.append(b)  # binom(e, 2j)
         b *= (e - 2 * j) * (e - 2 * j - 1) / ((2 * j + 1) * (2 * j + 2))
-    s = np.zeros_like(x)
-    for b in reversed(coeffs):
-        s += b
-        s *= x
+    s = _power_series(coeffs, x)
     return np.where(k == 1.0, 2.0 * math.expm1(alpha * math.log(2.0)), 2.0 * k**e * s)
 
 
@@ -169,11 +175,7 @@ def _first_column(alpha: float, i: np.ndarray) -> np.ndarray:
     for j in range(2, 62):
         coeffs.append(d)  # binom(e, j) (-1)^j
         d *= (j - e) / (j + 1)
-    s = np.zeros_like(x)
-    for d in reversed(coeffs):
-        s += d
-        s *= x
-    return np.where(i == 1.0, alpha, i**e * s * x)
+    return np.where(i == 1.0, alpha, i**e * _power_series(coeffs, x) * x)
 
 
 def _weight_parts(alpha: float, a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +223,7 @@ class WeightOperator:
     alpha: float
     grid: Grid
     col: np.ndarray = field(repr=False)  # w[1:, 0]
-    c_hat: np.ndarray = field(repr=False)  # rfft of the Toeplitz kernel, length L
+    c_hat: np.ndarray = field(repr=False)  # rfft of the Toeplitz kernel, transform length L
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """w @ values for values of shape (n+1,) or (n+1, m); row 0 is 0."""

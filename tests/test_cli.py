@@ -153,6 +153,33 @@ class TestExitCodes:
         out = run_cli("verify-ibp", "ibp_q1.json", "ibp_q2.json")
         assert out.returncode == 0
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: cfg.pop("q"),
+            lambda cfg: cfg.update(quad_n="64"),
+            lambda cfg: cfg.update(q=[1]),
+            lambda cfg: cfg.update(lagrangian="power:two"),
+            lambda cfg: cfg.update(lagrangian={"monomials": [["1", 0, 2, 0.5]]}),
+            lambda cfg: cfg.update(lagrangian={"monomials": [[0, 0, 2.5, 0.5]]}),
+            lambda cfg: cfg.update(lagrangian={"monomials": [[0, 0, 2]]}),
+            lambda cfg: cfg.update(lagrangian={"monomials": [[0, 0, 2, float("nan")]]}),
+        ],
+        ids=[
+            "missing_q", "string_quad_n", "list_q", "bad_power",
+            "string_monomial_power", "fractional_monomial_power", "short_monomial",
+            "nan_monomial_coefficient",
+        ],
+    )
+    def test_malformed_el_config_is_2(self, tmp_path, edit):
+        cfg = json.loads(golden("el_quadratic.json"))
+        edit(cfg)
+        path = tmp_path / "el.json"
+        path.write_text(json.dumps(cfg))
+        out = run_cli("el-check", str(path), cwd=str(tmp_path))
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("parse error")
+
 
 class TestNonFiniteFailsClosed:
     def write_pair(self, tmp_path, edit_q1, edit_q2=lambda q: None):
@@ -334,7 +361,8 @@ SPECIAL_SAMPLES = ["nan", "inf", "-inf", "1e308", "-1e308"]
 @st.composite
 def grid_csvs(draw):
     """CSV text for ``apply``: mostly well-formed, with special samples, short
-    files, non-uniform or unsorted nodes mixed in.  Returns (text, n_rows)."""
+    files, ragged rows, non-uniform or unsorted nodes mixed in.  Returns
+    (text, n_rows)."""
     n_rows = draw(st.integers(0, 40))
     m = draw(st.integers(1, 3))
     a = draw(st.floats(-10.0, 10.0))
@@ -355,6 +383,8 @@ def grid_csvs(draw):
         cells[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, m))] = draw(
             st.sampled_from(SPECIAL_SAMPLES)
         )
+    if n_rows and draw(st.integers(0, 9)) == 0:  # a ragged row
+        cells[draw(st.integers(0, n_rows - 1))].pop()
     header = ",".join(["t"] + [f"v{k}" for k in range(m)])
     return "\n".join([header] + [",".join(row) for row in cells]) + "\n", n_rows
 

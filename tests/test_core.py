@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -166,18 +167,25 @@ class TestWeightOperator:
         # of k^(alpha+1) at 40 digits: relative error a few ulp for any alpha
         from fraclab.core import _weight_parts
 
-        mp = pytest.importorskip("mpmath")
-        mp.mp.dps = 40
         n = 4000
         for alpha in (1e-12, 1e-3, 0.125, 0.5, 0.875, 1.0):
             col, c = _weight_parts(alpha, 0.0, float(n), n)  # h = 1
-            e = mp.mpf(alpha) + 1
-            pref = 1 / mp.gamma(e + 1)
-            for k in (1, 2, 3, 7, 100, n - 1):
-                ref_col = pref * (e * mp.mpf(k) ** alpha - mp.mpf(k) ** e + mp.mpf(k - 1) ** e)
-                ref_c = pref * (mp.mpf(k - 1) ** e - 2 * mp.mpf(k) ** e + mp.mpf(k + 1) ** e)
-                assert abs(col[k - 1] / ref_col - 1) <= 4e-15, (alpha, k)
-                assert abs(c[k] / ref_c - 1) <= 4e-15, (alpha, k)
+            with mp.workdps(40):
+                e = mp.mpf(alpha) + 1
+                pref = 1 / mp.gamma(e + 1)
+                for k in (1, 2, 3, 7, 100, n - 1):
+                    ref_col = pref * (e * mp.mpf(k) ** alpha - mp.mpf(k) ** e + mp.mpf(k - 1) ** e)
+                    ref_c = pref * (mp.mpf(k - 1) ** e - 2 * mp.mpf(k) ** e + mp.mpf(k + 1) ** e)
+                    assert abs(col[k - 1] / ref_col - 1) <= 4e-15, (alpha, k)
+                    assert abs(c[k] / ref_c - 1) <= 4e-15, (alpha, k)
+
+    def test_apply_near_float_limit(self):
+        # the FFT's partial sums reach L max|v|; the result itself is finite
+        g = Grid(0.0, 1.0, 64)
+        out = left_integral(0.5, GridFunction(g, np.full(65, 1e308)))
+        ref = 1e308 * g.nodes**0.5 / gamma(1.5)
+        assert np.all(np.isfinite(out.values))
+        assert np.max(np.abs(out.values[:, 0] - ref)) <= 1e-13 * 1e308
 
     def test_cache_returns_readonly(self):
         w = build_weight_operator(0.5, Grid(0.0, 1.0, 8))

@@ -47,6 +47,11 @@ def test_grid_csv_rejects_garbage(tmp_path):
         path.write_text(f"t,v0\n0,1\n0.5,{entry}\n1,1\n")
         with pytest.raises(ParseError, match="non-finite"):
             read_grid_csv(str(path))
+    # nodes out of order, and finite nodes whose span overflows
+    for nodes, message in (((0, 2, 1, 3), "increase"), ((-1e308, 0, 1e308), "overflows")):
+        path.write_text("t,v0\n" + "".join(f"{t},1\n" for t in nodes))
+        with pytest.raises(ParseError, match=message):
+            read_grid_csv(str(path))
 
 
 def test_split_json_round_trip_poly(tmp_path):
@@ -148,3 +153,10 @@ def test_split_dict_requires_json_numbers(edit):
     split_from_dict(d)  # the unedited dict reads
     with pytest.raises(ParseError, match="expected a JSON float"):
         split_from_dict({**d, **edit})
+
+
+def test_split_dict_int_too_large_for_float():
+    from fraclab.io import split_from_dict
+
+    with pytest.raises(ParseError, match="too large"):
+        split_from_dict({"alpha": 0.5, "a": 0, "b": 10**400, "c": [0.0], "phi": {"kind": "poly", "terms": []}})
