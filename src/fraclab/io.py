@@ -169,18 +169,17 @@ def split_from_dict(d: dict, base_dir: str = ".") -> SplitFunction | RightSplitF
         c = _numbers(d["c"], "c")
         phi = d["phi"]
         kind = phi["kind"]
+        if kind == "poly":
+            density = _terms_from_json(phi["terms"], Side.LEFT if side == "left" else Side.RIGHT)
+        elif kind == "grid":
+            density = read_grid_csv(os.path.join(base_dir, phi["csv"]))
+        else:
+            raise ParseError(f"unknown density kind {kind!r}")
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed split-function JSON: {exc}") from exc
     _require_finite([params.a, params.b, c], "split-function JSON")
-    term_side = Side.LEFT if side == "left" else Side.RIGHT
-    if kind == "poly":
-        density = _terms_from_json(phi["terms"], term_side)
-    elif kind == "grid":
-        density = read_grid_csv(os.path.join(base_dir, phi["csv"]))
-    else:
-        raise ParseError(f"unknown density kind {kind!r}")
     try:
         if side == "left":
             return SplitFunction(params, c, density)

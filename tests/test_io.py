@@ -160,3 +160,20 @@ def test_split_dict_int_too_large_for_float():
 
     with pytest.raises(ParseError, match="too large"):
         split_from_dict({"alpha": 0.5, "a": 0, "b": 10**400, "c": [0.0], "phi": {"kind": "poly", "terms": []}})
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        [1, 2],
+        {"alpha": 0.5, "a": 0.0, "b": 1.0, "c": [0.0], "phi": {"kind": "grid", "csv": 5}},
+        {"alpha": 0.5, "a": 0.0, "b": 1.0, "c": [0.0], "phi": {"kind": "grid"}},
+        {"alpha": 0.5, "a": 0.0, "b": 1.0, "c": [0.0], "phi": {"kind": "poly"}},
+    ],
+    ids=["top_level_list", "csv_not_a_path", "grid_without_csv", "poly_without_terms"],
+)
+def test_split_dict_malformed_is_parse_error(d):
+    from fraclab.io import split_from_dict
+
+    with pytest.raises(ParseError):
+        split_from_dict(d)
