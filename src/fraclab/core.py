@@ -235,7 +235,7 @@ class WeightOperator:
         c_hat = self.c_hat.reshape(self.c_hat.shape + (1,) * (v.ndim - 1))
         # Scaling by a power of two is exact and keeps the FFT's partial sums,
         # up to L max|v|, from overflowing on samples near the float limit.
-        e = math.frexp(float(np.max(np.abs(v))))[1]
+        e = math.frexp(np.abs(v).max(initial=0.0))[1]
         conv = np.fft.irfft(np.fft.rfft(np.ldexp(v[1:], -e), L, axis=0) * c_hat, L, axis=0)
         out = np.zeros(v.shape)
         out[1:] = np.multiply.outer(self.col, v[0]) + np.ldexp(conv[:n], e)

@@ -187,6 +187,10 @@ class TestWeightOperator:
         assert np.all(np.isfinite(out.values))
         assert np.max(np.abs(out.values[:, 0] - ref)) <= 1e-13 * 1e308
 
+    def test_zero_columns(self):
+        g = Grid(0.0, 1.0, 8)
+        assert left_integral(0.5, GridFunction(g, np.zeros((9, 0)))).values.shape == (9, 0)
+
     def test_cache_returns_readonly(self):
         w = build_weight_operator(0.5, Grid(0.0, 1.0, 8))
         assert not w.col.flags.writeable
