@@ -305,9 +305,12 @@ def cmd_convergence(args) -> int:
         ref = _evaluate(grid.nodes[lo:hi], a, b, side, 1, ref_terms)
         errors.append(float(np.max(np.abs(out.values[lo:hi, :1] - ref), initial=0.0)))
 
+    if not all(map(math.isfinite, errors)):
+        raise CliError(EXIT_NUMERICAL, f"non-finite sup error {errors}")
     lines = ["n,sup_error,order"]
-    for i, (n, err) in enumerate(zip(n_list, errors)):
-        order = "" if i == 0 else fio.fmt(math.log2(errors[i - 1] / err))
+    for n, prev, err in zip(n_list, [0.0] + errors, errors):
+        # The first row, and an exact scheme with error 0, have no order.
+        order = fio.fmt(math.log2(prev / err)) if prev and err else ""
         lines.append(f"{n},{fio.fmt(err)},{order}")
     _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -371,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except fio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except RegimeError as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -32,9 +33,16 @@ class ParseError(ValueError):
     """Malformed input file."""
 
 
+_FMT = "%.17g"
+
+
 def fmt(x: float) -> str:
-    """Shortest 17-significant-digit decimal form, round-trip exact."""
-    return format(float(x), ".17g")
+    """The 17-significant-digit decimal form, round-trip exact.
+
+    Always 17 digits, not the shortest form: ``fmt(0.1)`` is
+    ``"0.10000000000000001"``.
+    """
+    return _FMT % float(x)
 
 
 def _number(x, what: str, kind: type = float):
@@ -63,10 +71,10 @@ def _require_finite(values, what: str) -> None:
 
 def _grid_csv_text(f: GridFunction) -> str:
     """The CSV form of grid samples: header ``t,v0,...``, then one row per node."""
-    lines = ["t," + ",".join(f"v{k}" for k in range(f.m))]
-    for t, row in zip(f.grid.nodes, f.values):
-        lines.append(",".join([fmt(t)] + [fmt(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    head = "t," + ",".join(f"v{k}" for k in range(f.m)) + "\n"
+    row = _FMT + ("," + _FMT) * f.m + "\n"
+    cells = np.column_stack([f.grid.nodes, f.values]).ravel().tolist()
+    return head + (row * (f.grid.n + 1)) % tuple(cells)
 
 
 def write_grid_csv(path: str, f: GridFunction) -> None:
@@ -77,20 +85,27 @@ def write_grid_csv(path: str, f: GridFunction) -> None:
 def read_grid_csv(path: str) -> GridFunction:
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    # Split on "\n" alone: splitlines() also breaks at \x0b, \x0c, \x1c-\x1e,
+    # \x85 and \u2028/\u2029, which would let a malformed row through.
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
     if len(lines) < 3:
         raise ParseError(f"{path}: need a header and at least two data rows")
     header = lines[0].split(",")
     if header[0] != "t" or len(header) < 2:
         raise ParseError(f"{path}: expected header 't,v0[,v1,...]'")
+    rows = lines[1:]
+    # Commas counted per row: a total alone would pass rows "0,1,2" and "3" as
+    # two rows of width 2.
+    if set(map(str.count, rows, repeat(","))) != {len(header) - 1}:
+        raise ParseError(f"{path}: row width does not match header")
+    cells = ",".join(rows).split(",")
     try:
-        data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        data = np.fromiter(map(float, cells), float, len(cells)).reshape(len(rows), len(header))
     except ValueError as exc:
         raise ParseError(f"{path}: non-numeric entry ({exc})") from exc
-    if data.shape[1] != len(header):
-        raise ParseError(f"{path}: row width does not match header")
     _require_finite([data], path)
     t = data[:, 0]
     n = len(t) - 1

@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 TESTS = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(TESTS, "fixtures")
@@ -152,6 +153,25 @@ class TestExitCodes:
     def test_success_is_0(self):
         out = run_cli("verify-ibp", "ibp_q1.json", "ibp_q2.json")
         assert out.returncode == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--op", "ileft", "--alpha", "0.5", "ones.csv"],
+            ["verify-ibp", "ibp_q1.json", "ibp_q2.json"],
+            ["el-check", "el_quadratic.json"],
+            ["solve-bvp", "bvp_manufactured.json"],
+        ],
+        ids=["apply", "verify-ibp", "el-check", "solve-bvp"],
+    )
+    def test_non_utf8_input_is_2(self, tmp_path, argv):
+        # the subcommand's first input file, behind a byte that is not UTF-8
+        name = next(x for x in argv if x.endswith((".csv", ".json")))
+        bad = tmp_path / name
+        bad.write_bytes(b"\xff" + golden(name).encode())
+        out = run_cli(*[str(bad) if x == name else x for x in argv])
+        assert out.returncode == 2, out.stderr
+        assert "decode" in out.stderr
 
     @pytest.mark.parametrize(
         "edit",
@@ -338,6 +358,33 @@ class TestConvergenceCommand:
         orders = [float(r.split(",")[2]) for r in rows]
         assert all(o >= 1.0 for o in orders)
 
+    @pytest.mark.parametrize(
+        "ref, a, b",
+        [("t2", "-1e150", "1e150"), ("cos", "0", "1e160"), ("t", "0", "1e300")],
+    )
+    def test_non_finite_error_is_4(self, ref, a, b):
+        out = run_cli(
+            "convergence", "--op", "ileft", "--alpha", "0.5", "--ref", ref,
+            "--n-list", "4,8", f"--a={a}", f"--b={b}",
+        )
+        assert out.returncode == 4, out.stdout
+        assert out.stdout == ""
+
+    @pytest.mark.parametrize(
+        "n_list, b", [("1,2,3", "1"), ("2,4", "2")], ids=["three_rows", "b_2"]
+    )
+    def test_exact_scheme_has_no_order(self, n_list, b):
+        # alpha = 1 is the trapezoid rule, exact on constants: a zero error
+        # leaves the order cell empty instead of dividing by it
+        out = run_cli(
+            "convergence", "--op", "ileft", "--alpha", "1", "--ref", "one",
+            "--n-list", n_list, "--b", b,
+        )
+        assert out.returncode == 0, out.stderr
+        rows = [row.split(",") for row in out.stdout.splitlines()[1:]]
+        assert [row[0] for row in rows] == n_list.split(",")
+        assert all(float(row[1]) <= 1e-15 and row[2] == "" for row in rows)
+
     def test_unknown_reference_is_2(self):
         out = run_cli(
             "convergence", "--op", "ileft", "--alpha", "0.5", "--ref", "nope",
@@ -353,6 +400,16 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, cwd=str(tmp_path), env=cli_env(),
     )
     assert out.returncode == 0, out.stderr
+
+
+def run_in_process(argv):
+    """``cli.main(argv)`` with captured stdout and stderr: (code, out, err)."""
+    from fraclab import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 SPECIAL_SAMPLES = ["nan", "inf", "-inf", "1e308", "-1e308"]
@@ -400,20 +457,49 @@ class TestApplyFuzz:
         alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     )
     def test_exit_code_contract(self, csv, op, alpha):
-        from fraclab import cli
-
         text, n_rows = csv
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "in.csv")
             with open(path, "w") as fh:
                 fh.write(text)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(["apply", "--op", op, "--alpha", repr(alpha), path])
+            code, out, err = run_in_process(["apply", "--op", op, "--alpha", repr(alpha), path])
         allowed = {0, 2, 4}
         if op[0] == "d" and n_rows == 2:
             allowed.add(3)  # one subinterval: too few to differentiate
-        assert code in allowed, err.getvalue()
+        assert code in allowed, err
         if code == 0:
-            values = [float(x) for ln in out.getvalue().splitlines()[1:] for x in ln.split(",")]
+            values = [float(x) for ln in out.splitlines()[1:] for x in ln.split(",")]
             assert len(values) > 0 and all(math.isfinite(x) for x in values)
+
+
+ENDPOINTS = st.floats(-10.0, 10.0) | st.floats(-1e300, 1e300) | st.sampled_from([0.0, 1.0])
+
+
+class TestConvergenceFuzz:
+    """``convergence`` in-process on generated studies: exit 0, 2, 3 or 4,
+    never a raise, and exit 0 only with every printed number finite."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        op=st.sampled_from(["ileft", "iright", "dleft", "dright"]),
+        alpha=st.floats(0.0, 1.0, exclude_min=True) | st.just(1.0),
+        ref=st.sampled_from(["one", "t", "t2", "cos"]),
+        n_list=st.lists(st.integers(1, 64), min_size=1, max_size=4),
+        ends=st.tuples(ENDPOINTS, ENDPOINTS).map(sorted),
+    )
+    @example(op="ileft", alpha=0.5, ref="t2", n_list=[4, 8], ends=[-1e150, 1e150])
+    def test_exit_code_contract(self, op, alpha, ref, n_list, ends):
+        argv = [
+            "convergence", "--op", op, "--alpha", repr(alpha), "--ref", ref,
+            "--n-list", ",".join(map(str, n_list)), f"--a={ends[0]!r}", f"--b={ends[1]!r}",
+        ]
+        # Overflow warnings are not raised as errors, as on the command
+        # line, so a non-finite result must be caught by the command itself.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_in_process(argv)
+        assert code in {0, 2, 3, 4}, err
+        if code == 0:
+            cells = [x for ln in out.splitlines()[1:] for x in ln.split(",")[1:] if x]
+            assert len(cells) >= len(n_list)
+            assert all(math.isfinite(float(x)) for x in cells), out

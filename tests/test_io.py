@@ -4,10 +4,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fraclab.core import FracParams, Grid, GridFunction, RightSplitFunction, SplitFunction
 from fraclab.io import (
     ParseError,
+    _grid_csv_text,
+    fmt,
     read_grid_csv,
     read_split_json,
     write_grid_csv,
@@ -26,6 +29,63 @@ def test_grid_csv_round_trip(tmp_path):
     assert back.grid.n == 17
     assert back.grid.a == g.a and back.grid.b == g.b
     np.testing.assert_array_equal(back.values, f.values)  # 17 digits: bit-exact
+
+
+def reference_csv_text(f):
+    """The per-value writer that ``_grid_csv_text`` must match byte for byte."""
+    lines = ["t," + ",".join(f"v{k}" for k in range(f.m))]
+    for t, row in zip(f.grid.nodes, f.values):
+        lines.append(",".join([fmt(t)] + [fmt(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_cells(text):
+    """Each data cell parsed by its own ``float()``, as a float array."""
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
+    return np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+
+
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.797e308, -1.797e308,
+            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3]
+
+
+@st.composite
+def grid_functions(draw):
+    """Grid samples on a uniform grid, with -0.0, subnormals and values near
+    the float limit mixed in."""
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 3))
+    a = draw(st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0))
+    b = draw(st.floats(a + 0.1, a + 100.0))
+    sample = st.sampled_from(EXTREMES) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(st.lists(sample, min_size=(n + 1) * m, max_size=(n + 1) * m))
+    return GridFunction(Grid(a, b, n), np.reshape(values, (n + 1, m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=grid_functions())
+@example(f=GridFunction(Grid(-1.0, -0.0, 2), np.reshape(EXTREMES[:9], (3, 3))))
+def test_grid_csv_text_matches_per_value_format(f, tmp_path_factory):
+    text = _grid_csv_text(f)
+    assert text == reference_csv_text(f)
+    path = tmp_path_factory.mktemp("csv") / "f.csv"
+    write_grid_csv(str(path), f)
+    assert path.read_text() == text
+    back = read_grid_csv(str(path))
+    ref = reference_cells(text)
+    # bit for bit: -0.0 and 0.0 differ here, as do the last bits of a value
+    assert back.values.tobytes() == np.ascontiguousarray(ref[:, 1:]).tobytes()
+    assert back.values.tobytes() == f.values.tobytes()
+    assert (back.grid.a, back.grid.b, back.grid.n) == (ref[0, 0], ref[-1, 0], f.grid.n)
+
+
+@given(x=st.floats() | st.sampled_from(EXTREMES))
+def test_fmt_matches_format_17g(x):
+    assert fmt(x) == format(x, ".17g")
+
+
+def test_fmt_is_17_digits_not_shortest():
+    assert fmt(0.1) == "0.10000000000000001"
 
 
 def test_grid_csv_rejects_nonuniform(tmp_path):
@@ -47,6 +107,30 @@ def test_grid_csv_rejects_garbage(tmp_path):
         path.write_text(f"t,v0\n0,1\n0.5,{entry}\n1,1\n")
         with pytest.raises(ParseError, match="non-finite"):
             read_grid_csv(str(path))
+    # rows of the wrong width, even where the cell count adds up, and a
+    # trailing comma; a vertical tab does not end a line
+    for text in (
+        "t,v0\n0,1,2\n3\n",
+        "t,v0\n0,1\n0.5,1,2\n1\n",
+        "t,v0\n0,1,\n0.5,1,\n1,1,\n",
+        "t,v0\n0,1\n0.5,1,\n1,2\n",
+        "t,v0\n0,1\x0b0.5,2\n1,3\n",
+    ):
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_grid_csv(str(path))
+    # blank and whitespace-only lines, CRLF or CR line ends, and spaces or tabs
+    # around cells read as the plain file does
+    for text in (
+        "t,v0\n\n0,1\n   \n0.5,2\n\t\n1,3\n\n",
+        "t,v0\r\n0,1\r\n0.5,2\r\n1,3\r\n",
+        "t,v0\r0,1\r0.5,2\r1,3\r",
+        " t,v0 \n 0 ,\t1\n0.5 , 2 \n\t1,\t3\t\n",
+    ):
+        path.write_bytes(text.encode())
+        f = read_grid_csv(str(path))
+        assert (f.grid.a, f.grid.b, f.grid.n) == (0.0, 1.0, 2)
+        np.testing.assert_array_equal(f.values, [[1.0], [2.0], [3.0]])
     # nodes out of order, and finite nodes whose span overflows
     for nodes, message in (((0, 2, 1, 3), "increase"), ((-1e308, 0, 1e308), "overflows")):
         path.write_text("t,v0\n" + "".join(f"{t},1\n" for t in nodes))
