@@ -18,7 +18,6 @@ __all__ = [
     "Side",
     "PowerTerm",
     "gamma",
-    "log_gamma",
     "reciprocal_gamma",
     "beta",
     "frac_integral_power",
@@ -36,65 +35,22 @@ __all__ = [
 # derivative vanishes identically.
 _ZERO_EXPONENT_TOL = 1e-14
 
-# Lanczos approximation, g = 7, 9 coefficients.  Relative error below
-# 1e-13 over the positive real axis in double precision.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _GAMMA_OVERFLOW_X = 171.624
 
 
-def _lanczos_series(x: float) -> float:
-    s = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        s += c / (x + i - 1.0)
-    return s
-
-
-def _gamma_positive(x: float) -> float:
-    # Valid for x >= 0.5.
-    s = _lanczos_series(x)
-    t = x + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x - 0.5) * math.exp(-t) * s
-
-
 def gamma(x: float) -> float:
-    """Gamma function for real x > 0.
+    """Gamma function for real x > 0, from ``math.gamma`` (within a few ulp).
 
     Raises ValueError outside (0, ~171.62] where the double-precision
-    result would be undefined or overflow.
+    result would be undefined or overflow, and OverflowError for x below
+    about 5.6e-309, where Gamma(x) ~ 1/x overflows.
     """
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma requires x > 0, got {x}")
     if x > _GAMMA_OVERFLOW_X:
         raise ValueError(f"gamma({x}) overflows double precision")
-    if x < 0.5:
-        # Reflection keeps the Lanczos series in its accurate range.
-        return math.pi / (math.sin(math.pi * x) * _gamma_positive(1.0 - x))
-    return _gamma_positive(x)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, avoiding overflow for large arguments."""
-    x = float(x)
-    if not x > 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    s = _lanczos_series(x)
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(s)
+    return math.gamma(x)
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -114,7 +70,7 @@ def beta(x: float, y: float) -> float:
     if not (x > 0.0 and y > 0.0):
         raise ValueError(f"beta requires positive arguments, got ({x}, {y})")
     if x + y > _GAMMA_OVERFLOW_X:
-        return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+        return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
     return gamma(x) * gamma(y) / gamma(x + y)
 
 

@@ -252,6 +252,8 @@ def bolza_value(
     ``validate=False`` skips the growth-certificate gate; the caller then
     asserts integrability of the integrand along q.
     """
+    if quad_n < 1:
+        raise ValueError(f"quad_n must be at least 1, got {quad_n}")
     _require_valid(spec, q, validate)
     p = q.params
     q_singular = bool(np.any(q.c != 0.0))
@@ -279,6 +281,8 @@ def first_variation(
     (I^(1-a) h)(a) = h.c and D^a h = h.phi are read from the split form,
     never computed numerically.
     """
+    if quad_n < 1:
+        raise ValueError(f"quad_n must be at least 1, got {quad_n}")
     _require_valid(spec, q, validate)
     p = q.params
     hp = h.params
@@ -333,6 +337,8 @@ def el_report(
     at t = a is filled by linear extrapolation and the residual is flagged
     ignorable there; values near a then carry O(1) relative error.
     """
+    if quad_n < 2:
+        raise ValueError(f"quad_n must be at least 2, got {quad_n}")
     _require_valid(spec, q, validate)
     p = q.params
     grid = Grid(p.a, p.b, quad_n)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -153,6 +154,29 @@ class TestExitCodes:
     def test_success_is_0(self):
         out = run_cli("verify-ibp", "ibp_q1.json", "ibp_q2.json")
         assert out.returncode == 0
+
+    def test_large_exponent_is_0(self, tmp_path):
+        # Gammas near 1e254 in the closed forms:
+        # lhs = int t^145 (1-t)^(-0.4)/Gamma(0.6) dt = Gamma(146)/Gamma(146.6)
+        q1 = json.loads(golden("ibp_q1.json"))
+        q1["phi"]["terms"] = [{"coeff": 1.0, "exponent": 145.0}]
+        path = tmp_path / "q1.json"
+        path.write_text(json.dumps(q1))
+        out = run_cli("verify-ibp", str(path), "ibp_q2.json")
+        assert out.returncode == 0, out.stderr
+        ref = float(mpmath.gamma(146) / mpmath.gamma(146.6))
+        assert json.loads(out.stdout)["lhs"] == pytest.approx(ref, rel=1e-13)
+
+    def test_el_check_quad_n_below_two_is_3(self, tmp_path):
+        # q singular at a: el_report extrapolates node 0 from nodes 1 and 2
+        cfg = json.loads(golden("el_quadratic.json"))
+        cfg["q"]["c"] = [1.0]
+        cfg["quad_n"] = 1
+        path = tmp_path / "el.json"
+        path.write_text(json.dumps(cfg))
+        out = run_cli("el-check", str(path), cwd=str(tmp_path))
+        assert out.returncode == 3, out.stderr
+        assert "quad_n" in out.stderr
 
     @pytest.mark.parametrize(
         "argv",
@@ -503,3 +527,94 @@ class TestConvergenceFuzz:
             cells = [x for ln in out.splitlines()[1:] for x in ln.split(",")[1:] if x]
             assert len(cells) >= len(n_list)
             assert all(math.isfinite(float(x)) for x in cells), out
+
+
+def finite_numbers(obj):
+    """Whether every number in a parsed JSON value is finite."""
+    if isinstance(obj, dict):
+        return all(finite_numbers(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(finite_numbers(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+def run_json_command(command, cfg):
+    """``command`` in-process on ``cfg`` written as a JSON file (NaN allowed)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        return run_in_process([command, path])
+
+
+def mostly(common, rare):
+    """``common`` nine draws in ten, ``rare`` the tenth."""
+    return st.integers(0, 9).flatmap(lambda k: rare if k == 0 else common)
+
+
+COEFFS = mostly(
+    st.floats(-10.0, 10.0), st.sampled_from([1e308, -1e308, float("nan"), float("inf")])
+)
+ORDERS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+EXPONENTS = mostly(st.floats(-0.99, 4.0), st.sampled_from([-1.0, 0.0, 1.0]))
+
+
+@st.composite
+def el_configs(draw):
+    """el-check config: a preset Lagrangian, a left split function q with
+    generated c and phi terms, and quad_n in 1..64."""
+    alpha = draw(ORDERS | st.sampled_from([0.6, 0.8]))
+    p = draw(st.sampled_from([1.5, 2.0, 4.0, None]))
+    preset = draw(
+        st.just("quadratic") | st.floats(1.0, 4.0).map(lambda r: f"power:{r!r}")
+    )
+    term = st.fixed_dictionaries({"coeff": COEFFS, "exponent": EXPONENTS})
+    terms = draw(st.lists(term, max_size=3))
+    q = {"alpha": alpha, "p": p, "a": 0.0, "b": draw(st.floats(0.1, 10.0)), "side": "left",
+         "c": [draw(COEFFS)], "phi": {"kind": "poly", "terms": terms}}
+    return {"lagrangian": preset, "q": q, "quad_n": draw(st.integers(1, 64))}
+
+
+@st.composite
+def bvp_problems(draw):
+    """solve-bvp problem: generated alpha, interval, boundary data, power-term
+    forcing and basis degree (the cap is 12)."""
+    a = draw(st.floats(-5.0, 5.0))
+    terms = st.fixed_dictionaries(
+        {"coeff": COEFFS, "exponent": EXPONENTS, "side": st.sampled_from(["left", "right"])}
+    )
+    return {
+        "alpha": draw(ORDERS | st.sampled_from([0.6, 0.9])),
+        "a": a,
+        "b": a + draw(st.floats(1e-3, 10.0)),
+        "qa": [draw(COEFFS)],
+        "qb": [draw(COEFFS)],
+        "f": {"kind": "poly", "terms": draw(st.lists(terms, max_size=4))},
+        "basis_degree": draw(st.integers(0, 14)),
+    }
+
+
+class TestElCheckFuzz:
+    """``el-check`` in-process on generated configs: exit 0, 2, 3 or 4,
+    never a raise, and exit 0 only with every printed number finite."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=el_configs())
+    def test_exit_code_contract(self, cfg):
+        code, out, err = run_json_command("el-check", cfg)
+        assert code in {0, 2, 3, 4}, err
+        if code == 0:
+            assert finite_numbers(json.loads(out)), out
+
+
+class TestSolveBvpFuzz:
+    """``solve-bvp`` in-process on generated problems: exit 0, 2, 3 or 4,
+    never a raise, and exit 0 only with every printed number finite."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=bvp_problems())
+    def test_exit_code_contract(self, cfg):
+        code, out, err = run_json_command("solve-bvp", cfg)
+        assert code in {0, 2, 3, 4}, err
+        if code == 0:
+            assert finite_numbers(json.loads(out)), out

@@ -5,6 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 from scipy import integrate
 
 from fraclab.special import (
@@ -34,10 +35,11 @@ class TestGamma:
         assert gamma(0.5) == pytest.approx(float(mpmath.sqrt(mpmath.pi)), rel=1e-14)
 
     def test_against_mpmath_sweep(self):
-        xs = np.linspace(0.01, 50.0, 701)
+        # the whole domain, up to where Gamma(x) nears the largest double
+        xs = np.r_[1e-3, np.linspace(0.01, 171.61, 1201), 145.0, 171.62, 171.624]
         for x in xs:
             ref = float(mpmath.gamma(float(x)))
-            assert gamma(float(x)) == pytest.approx(ref, rel=1e-12)
+            assert gamma(float(x)) == pytest.approx(ref, rel=2e-15)
 
     def test_recurrence_sweep(self):
         xs = np.linspace(0.1, 40.0, 1000)
@@ -61,9 +63,14 @@ class TestGamma:
             assert reciprocal_gamma(x) == pytest.approx(ref, rel=1e-12, abs=1e-300)
 
     def test_beta(self):
-        for x, y in ((0.5, 0.5), (1.0, 2.0), (2.5, 3.7), (0.3, 9.0)):
+        cases = [(0.5, 0.5), (1.0, 2.0), (2.5, 3.7), (0.3, 9.0)]
+        # x + y in [142.37, 171.624], where the Gamma products are finite
+        cases += [(100.0, 71.0), (140.0, 5.5), (0.5, 150.0), (85.8, 85.8)]
+        for x, y in cases:
             ref = float(mpmath.beta(x, y))
-            assert beta(x, y) == pytest.approx(ref, rel=1e-12)
+            assert beta(x, y) == pytest.approx(ref, rel=1e-14)
+        # x + y above the Gamma overflow: the log-Gamma branch
+        assert beta(120.0, 80.0) == pytest.approx(float(mpmath.beta(120.0, 80.0)), rel=1e-12)
 
 
 class TestPowerTerm:
@@ -84,6 +91,12 @@ class TestPowerTerm:
             t.eval(0.0, 0.0, 1.0)
         assert PowerTerm(3.0, 0.0, Side.LEFT).eval(0.0, 0.0, 1.0) == pytest.approx(3.0)
         assert PowerTerm(3.0, 2.0, Side.LEFT).eval(0.0, 0.0, 1.0) == 0.0
+
+
+# Orders in (0, 1], and exponents kept away from the pole of Gamma(e+1) at
+# e = -1, where one ulp in e moves Gamma(e+1) by a relative 1e-16/(e+1).
+ORDERS = st.floats(0.0, 1.0, exclude_min=True)
+EXPONENTS = st.floats(-0.9, 20.0)
 
 
 def quad_frac_integral(alpha, f, t, a):
@@ -114,14 +127,20 @@ class TestFracIntegralPower:
         out = frac_integral_power(0.77, PowerTerm(0.0, 1.0))
         assert out.is_zero()
 
-    def test_semigroup(self):
-        for beta_exp in (-0.3, 0.0, 0.7, 2.0):
-            one = frac_integral_power(0.3, frac_integral_power(0.4, PowerTerm(1.0, beta_exp)))
-            two = frac_integral_power(0.7, PowerTerm(1.0, beta_exp))
-            assert one.exponent == pytest.approx(two.exponent, abs=1e-14)
-            assert float(np.asarray(one.coeff)) == pytest.approx(
-                float(np.asarray(two.coeff)), rel=1e-10
-            )
+    @given(a=ORDERS, b=ORDERS, e=EXPONENTS)
+    @example(a=0.4, b=0.3, e=-0.3)
+    @example(a=0.4, b=0.3, e=0.0)
+    @example(a=0.4, b=0.3, e=0.7)
+    @example(a=0.4, b=0.3, e=2.0)
+    def test_semigroup(self, a, b, e):
+        # I^b I^a = I^(a+b)
+        assume(a + b <= 1.0)
+        one = frac_integral_power(b, frac_integral_power(a, PowerTerm(1.0, e)))
+        two = frac_integral_power(a + b, PowerTerm(1.0, e))
+        assert one.exponent == pytest.approx(two.exponent, abs=1e-14)
+        assert float(np.asarray(one.coeff)) == pytest.approx(
+            float(np.asarray(two.coeff)), rel=1e-13
+        )
 
     def test_reflection_duality(self):
         # right-sided result at t equals the left-sided result at a+b-t
@@ -158,14 +177,17 @@ class TestFracDerivativePower:
         assert out.exponent == pytest.approx(0.0, abs=1e-14)
         assert float(np.asarray(out.coeff)) == pytest.approx(0.8862269254527580, rel=1e-12)
 
-    def test_derivative_inverts_integral(self):
-        for alpha in (0.2, 0.5, 0.9):
-            for b_exp in (-0.4, 0.0, 1.0, 3.0):
-                term = PowerTerm(1.7, b_exp)
-                back = frac_derivative_power(alpha, frac_integral_power(alpha, term))
-                assert back is not None
-                assert back.exponent == pytest.approx(b_exp, abs=1e-12)
-                assert float(np.asarray(back.coeff)) == pytest.approx(1.7, rel=1e-10)
+    @given(alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), e=EXPONENTS)
+    @example(alpha=0.2, e=-0.4)
+    @example(alpha=0.5, e=0.0)
+    @example(alpha=0.9, e=1.0)
+    @example(alpha=0.5, e=3.0)
+    def test_derivative_inverts_integral(self, alpha, e):
+        # D^a I^a = id
+        back = frac_derivative_power(alpha, frac_integral_power(alpha, PowerTerm(1.7, e)))
+        assert back is not None
+        assert back.exponent == pytest.approx(e, abs=1e-12)
+        assert float(np.asarray(back.coeff)) == pytest.approx(1.7, rel=1e-13)
 
 
 class TestTermAlgebra:

@@ -169,6 +169,14 @@ class TestBolza:
         with pytest.raises(ValueError, match="not finite"):
             bolza_value(spec, q)
 
+    @pytest.mark.parametrize("quad_n", [0, -3])
+    def test_quad_n_below_one_is_rejected(self, quad_n):
+        # an empty rule would give the terminal cost alone, 0.0 here
+        spec = quadratic_lagrangian(0.7, 2.0)
+        q = SplitFunction(params(0.7), [0.0], [PowerTerm(1.0, 0.0)])
+        with pytest.raises(ValueError, match="quad_n"):
+            bolza_value(spec, q, quad_n=quad_n)
+
     def test_graded_mesh_shape(self):
         mesh = graded_mesh(0.0, 1.0, 10, 0.5)
         assert mesh[0] == 0.0 and mesh[-1] == 1.0
@@ -257,6 +265,13 @@ class TestFirstVariation:
         h = SplitFunction(p, [1.0], [])
         assert first_variation(spec, q, h) == pytest.approx(w, rel=1e-12)
 
+    @pytest.mark.parametrize("quad_n", [0, -3])
+    def test_quad_n_below_one_is_rejected(self, quad_n):
+        spec = quadratic_lagrangian(0.7, 2.0)
+        q = SplitFunction(params(0.7), [0.0], [PowerTerm(1.0, 0.0)])
+        with pytest.raises(ValueError, match="quad_n"):
+            first_variation(spec, q, q, quad_n=quad_n)
+
 
 class TestElReport:
     def test_zero_critical_point(self):
@@ -296,6 +311,12 @@ class TestElReport:
         rep = el_report(spec, SplitFunction(params(), [1.0], []), quad_n=64, validate=False)
         assert rep.bc_a_residual is None
         assert not rep.el_residual.left_endpoint_finite
+
+    def test_quad_n_below_two_is_rejected(self):
+        # q singular at a: node 0 is extrapolated from nodes 1 and 2
+        spec = quadratic_lagrangian(0.6, 2.0)
+        with pytest.raises(ValueError, match="quad_n"):
+            el_report(spec, SplitFunction(params(), [1.0], []), quad_n=1, validate=False)
 
     def test_bc_b_reports_terminal_gradient(self):
         spec0 = quadratic_lagrangian(0.6, 2.0)
