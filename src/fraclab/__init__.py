@@ -33,7 +33,6 @@ from .core import (
     WeightOperator,
     admissible_r_range,
     build_weight_operator,
-    eval_right_split,
     eval_split,
     left_derivative_grid,
     left_derivative_split,

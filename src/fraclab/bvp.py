@@ -20,7 +20,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import FracParams, GridFunction, RegimeError, SplitFunction, _power_terms, eval_split
+from .core import (
+    FracParams,
+    GridFunction,
+    RegimeError,
+    SplitFunction,
+    _power_terms,
+    _require_left,
+    eval_split,
+)
 from .special import (
     PowerTerm,
     Side,
@@ -285,6 +293,7 @@ def weak_form_check(
     """
     p = problem.params
     a, b = p.a, p.b
+    _require_left(q, *probes)
     if isinstance(q.phi, GridFunction) or isinstance(problem.f, GridFunction):
         raise ValueError("weak_form_check expects power-term data")
 

@@ -24,8 +24,6 @@ from .core import (
     Grid,
     GridFunction,
     RegimeError,
-    RightSplitFunction,
-    SplitFunction,
     left_derivative_grid,
     left_integral,
     right_derivative_grid,
@@ -114,13 +112,9 @@ def cmd_apply(args) -> int:
 def cmd_verify_ibp(args) -> int:
     q1 = fio.read_split_json(args.q1)
     q2 = fio.read_split_json(args.q2)
-    if not isinstance(q1, SplitFunction):
-        raise CliError(EXIT_REGIME, "first operand must be a left split function")
-    if not isinstance(q2, RightSplitFunction):
-        raise CliError(EXIT_REGIME, "second operand must be a right split function")
     report = ibp_report(q1, q2, quad_n=args.quad_n)
     _write_text(args.output, _json_dumps(report.as_dict()))
-    grid_path = isinstance(q1.phi, GridFunction) or isinstance(q2.psi, GridFunction)
+    grid_path = isinstance(q1.phi, GridFunction) or isinstance(q2.phi, GridFunction)
     tol = args.tol if args.tol is not None else (1e-2 if grid_path else 1e-8)
     if not abs(report.defect) <= tol:
         print(f"defect {report.defect:.3e} exceeds tolerance {tol:.3e}", file=sys.stderr)
@@ -169,8 +163,6 @@ def cmd_el_check(args) -> int:
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise fio.ParseError(f"malformed el-check config: {exc}") from exc
-    if not isinstance(q, SplitFunction):
-        raise CliError(EXIT_REGIME, "el-check needs a left split function")
     spec = _lagrangian_from_config(lagrangian, q.params)
     report = el_report(spec, q, quad_n=quad_n)
     lo = 0 if report.el_residual.left_endpoint_finite else 1

@@ -38,7 +38,6 @@ __all__ = [
     "left_derivative_grid",
     "right_derivative_grid",
     "eval_split",
-    "eval_right_split",
     "left_derivative_split",
     "left_subdiffusion_boundary_value",
     "rl_derivative_of_ac",
@@ -402,22 +401,36 @@ def _evaluate(t, a: float, b: float, side: Side, m: int, density: Density,
     return out + total
 
 
+def _density_bounded(density: Density) -> bool:
+    """Whether a density is bounded at its endpoint: the grid flag, or every exponent >= 0."""
+    if isinstance(density, GridFunction):
+        return density.left_endpoint_finite
+    return all(t.exponent >= 0.0 for t in density)
+
+
 @dataclass(frozen=True)
 class SplitFunction:
-    """Canonical element q = c (t-a)^(alpha-1) / Gamma(alpha) + I^alpha phi.
+    """Canonical element q = c u^(alpha-1) / Gamma(alpha) + I^alpha phi.
 
-    ``c`` equals (I^(1-alpha) q)(a) and ``phi`` equals D^alpha q; the pair
-    is the exact coordinate system, never recovered numerically.
+    On the left u = t - a, ``c`` equals (I^(1-alpha) q)(a) and ``phi`` equals
+    D^alpha q; on the right u = b - t, I^alpha is right-sided and both mirror.
+    The pair is the exact coordinate system, never recovered numerically.
     """
 
     params: FracParams
     c: np.ndarray
     phi: Density = field(default_factory=list)
+    side: Side = Side.LEFT
 
     def __post_init__(self) -> None:
         p = self.params
+        object.__setattr__(self, "side", Side(self.side))
         object.__setattr__(self, "c", _as_vector(self.c))
-        object.__setattr__(self, "phi", _check_density(self.phi, p.a, p.b, Side.LEFT))
+        object.__setattr__(self, "phi", _check_density(self.phi, p.a, p.b, self.side))
+
+    # The paper's names for c and phi on the right side.
+    d = property(lambda self: self.c)
+    psi = property(lambda self: self.phi)
 
     @property
     def m(self) -> int:
@@ -430,56 +443,37 @@ class SplitFunction:
     def _values(self, t) -> np.ndarray:
         """q at the points t in [a, b], shape (len(t), m)."""
         p = self.params
-        return _evaluate(t, p.a, p.b, Side.LEFT, self.m, self._regular, p.alpha, self.c)
+        return _evaluate(t, p.a, p.b, self.side, self.m, self._regular, p.alpha, self.c)
 
     def _density_values(self, t) -> np.ndarray:
-        """D^alpha q = phi at the points t in [a, b], shape (len(t), m)."""
-        return _evaluate(t, self.params.a, self.params.b, Side.LEFT, self.m, self.phi)
+        """phi at the points t in [a, b], shape (len(t), m)."""
+        return _evaluate(t, self.params.a, self.params.b, self.side, self.m, self.phi)
 
 
-@dataclass(frozen=True)
-class RightSplitFunction:
+def RightSplitFunction(params: FracParams, d, psi: Density = ()) -> SplitFunction:
     """Mirror element q = d (b-t)^(alpha-1) / Gamma(alpha) + I^alpha_(b-) psi."""
-
-    params: FracParams
-    d: np.ndarray
-    psi: Density = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        p = self.params
-        object.__setattr__(self, "d", _as_vector(self.d))
-        object.__setattr__(self, "psi", _check_density(self.psi, p.a, p.b, Side.RIGHT))
-
-    @property
-    def m(self) -> int:
-        return self.d.shape[0]
-
-    @cached_property
-    def _regular(self) -> Density:
-        return _integrate(self.params, self.psi)
+    return SplitFunction(params, d, psi, Side.RIGHT)
 
 
-def _power_terms(q: SplitFunction | RightSplitFunction) -> list[PowerTerm]:
+def _require_left(*qs: SplitFunction) -> None:
+    if any(q.side is not Side.LEFT for q in qs):
+        raise ValueError("this operation takes left split functions only, got a right one")
+
+
+def _power_terms(q: SplitFunction) -> list[PowerTerm]:
     """q as power terms: the kernel coeff u^(alpha-1)/Gamma(alpha) plus I^alpha
     of its power-term density (u = t-a on the left, b-t on the right)."""
     alpha = q.params.alpha
-    coeff, side = (q.c, Side.LEFT) if isinstance(q, SplitFunction) else (q.d, Side.RIGHT)
-    return [PowerTerm(coeff / gamma(alpha), alpha - 1.0, side)] + q._regular
+    return [PowerTerm(q.c / gamma(alpha), alpha - 1.0, q.side)] + q._regular
 
 
 def eval_split(q: SplitFunction, t: float) -> np.ndarray:
-    """Pointwise value of a left split function on (a, b], including t = b.
+    """Pointwise value on (a, b] for a left split function, on [a, b) for a right one.
 
     The regular part is exact for power-term densities and a single
     product-trapezoidal row for grid densities.
     """
     return q._values([t])[0]
-
-
-def eval_right_split(q: RightSplitFunction, t: float) -> np.ndarray:
-    """Pointwise value of a right split function on [a, b)."""
-    p = q.params
-    return _evaluate([t], p.a, p.b, Side.RIGHT, q.m, q._regular, p.alpha, q.d)[0]
 
 
 def sample_split(q: SplitFunction, grid: Grid) -> GridFunction:
@@ -500,11 +494,13 @@ def left_derivative_split(q: SplitFunction) -> Density:
 
     The singular basis term contributes nothing; no numerics involved.
     """
+    _require_left(q)
     return q.phi
 
 
 def left_subdiffusion_boundary_value(q: SplitFunction) -> np.ndarray:
     """(I^(1-alpha) q)(a), read exactly from the split form as c."""
+    _require_left(q)
     return q.c
 
 

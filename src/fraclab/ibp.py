@@ -20,12 +20,10 @@ from .core import (
     Grid,
     GridFunction,
     RegimeError,
-    RightSplitFunction,
     SplitFunction,
-    _evaluate,
+    _density_bounded,
     _power_terms,
     build_weight_operator,
-    eval_right_split,
     eval_split,
 )
 from .special import Side, terms_product_integral
@@ -59,7 +57,9 @@ class IbpReport:
         }
 
 
-def _check_regime(q1: SplitFunction, q2: RightSplitFunction) -> None:
+def _check_regime(q1: SplitFunction, q2: SplitFunction) -> None:
+    if (q1.side, q2.side) != (Side.LEFT, Side.RIGHT):
+        raise ValueError(f"ibp_report needs a left q1 and a right q2, got {q1.side} and {q2.side}")
     p1, p2 = q1.params, q2.params
     if (p1.a, p1.b) != (p2.a, p2.b) or p1.alpha != p2.alpha:
         raise ValueError("q1 and q2 must share the interval and the order alpha")
@@ -72,10 +72,10 @@ def _check_regime(q1: SplitFunction, q2: RightSplitFunction) -> None:
             )
 
 
-def _boundary_terms(q1: SplitFunction, q2: RightSplitFunction) -> tuple[float, float]:
+def _boundary_terms(q1: SplitFunction, q2: SplitFunction) -> tuple[float, float]:
     b, a = q1.params.b, q1.params.a
-    boundary_b = float(eval_split(q1, b) @ q2.d)
-    boundary_a = float(q1.c @ eval_right_split(q2, a))
+    boundary_b = float(eval_split(q1, b) @ q2.c)
+    boundary_a = float(q1.c @ eval_split(q2, a))
     return boundary_b, boundary_a
 
 
@@ -85,38 +85,30 @@ def _report(lhs, rhs, boundary_b, boundary_a, tol_scale) -> IbpReport:
     return IbpReport(lhs, rhs, boundary_b, boundary_a, defect, tol_scale * scale)
 
 
-def _closed_form(q1: SplitFunction, q2: RightSplitFunction) -> IbpReport:
+def _closed_form(q1: SplitFunction, q2: SplitFunction) -> IbpReport:
     # q1 = c kernel + I^a phi as left-sided terms, q2 mirrored on the right.
     a, b = q1.params.a, q1.params.b
     lhs = float(np.sum(terms_product_integral(q1.phi, _power_terms(q2), a, b)))
-    rhs = float(np.sum(terms_product_integral(_power_terms(q1), q2.psi, a, b)))
+    rhs = float(np.sum(terms_product_integral(_power_terms(q1), q2.phi, a, b)))
     boundary_b, boundary_a = _boundary_terms(q1, q2)
     return _report(lhs, rhs, boundary_b, boundary_a, 1e-12)
 
 
-def _density_values(density, side: Side, grid: Grid, m: int, what: str) -> np.ndarray:
-    if isinstance(density, GridFunction):
-        if not density.left_endpoint_finite:
-            raise RegimeError("grid densities must be finite at the endpoints")
-    elif any(t.exponent < 0.0 for t in density):
-        raise RegimeError(
-            f"grid-path {what} must be bounded; use the closed-form path "
-            "for singular power densities"
-        )
-    return _evaluate(grid.nodes, grid.a, grid.b, side, m, density)
-
-
-def _grid_path(q1: SplitFunction, q2: RightSplitFunction, quad_n: int) -> IbpReport:
+def _grid_path(q1: SplitFunction, q2: SplitFunction, quad_n: int) -> IbpReport:
     p = q1.params
     a, b, alpha = p.a, p.b, p.alpha
-    grids = [d.grid for d in (q1.phi, q2.psi) if isinstance(d, GridFunction)]
+    grids = [q.phi.grid for q in (q1, q2) if isinstance(q.phi, GridFunction)]
     grid = grids[0] if grids else Grid(a, b, quad_n)
     if any(g.n != grid.n for g in grids):
         raise ValueError("grid densities of q1 and q2 must share the same grid")
 
-    m = q1.m
-    phi = _density_values(q1.phi, Side.LEFT, grid, m, "phi")
-    psi = _density_values(q2.psi, Side.RIGHT, grid, m, "psi")
+    if not (_density_bounded(q1.phi) and _density_bounded(q2.phi)):
+        raise RegimeError(
+            "grid-path densities must be bounded at their endpoints; use the "
+            "closed-form path for singular power densities"
+        )
+    phi = q1._density_values(grid.nodes)
+    psi = q2._density_values(grid.nodes)
 
     w = build_weight_operator(alpha, grid)
     i_phi = w.apply(phi)  # I^a_left phi at the nodes
@@ -129,13 +121,13 @@ def _grid_path(q1: SplitFunction, q2: RightSplitFunction, quad_n: int) -> IbpRep
         return float(h * (np.sum(prod) - 0.5 * (prod[0] + prod[-1])))
 
     # int phi . (d kernel) = d . (I^a_left phi)(b); mirrored for the c kernel.
-    lhs = trapz_dot(phi, i_psi) + float(i_phi[-1] @ q2.d)
+    lhs = trapz_dot(phi, i_psi) + float(i_phi[-1] @ q2.c)
     rhs = trapz_dot(i_phi, psi) + float(i_psi[0] @ q1.c)
     boundary_b, boundary_a = _boundary_terms(q1, q2)
     return _report(lhs, rhs, boundary_b, boundary_a, 10.0 * h ** (1.0 + alpha))
 
 
-def ibp_report(q1: SplitFunction, q2: RightSplitFunction, quad_n: int = 512) -> IbpReport:
+def ibp_report(q1: SplitFunction, q2: SplitFunction, quad_n: int = 512) -> IbpReport:
     """Evaluate the integration-by-parts identity for the pair (q1, q2).
 
     Power-term densities take the exact Beta-function path (defect at
@@ -143,6 +135,6 @@ def ibp_report(q1: SplitFunction, q2: RightSplitFunction, quad_n: int = 512) -> 
     tolerance reported in the result.
     """
     _check_regime(q1, q2)
-    if not isinstance(q1.phi, GridFunction) and not isinstance(q2.psi, GridFunction):
+    if not isinstance(q1.phi, GridFunction) and not isinstance(q2.phi, GridFunction):
         return _closed_form(q1, q2)
     return _grid_path(q1, q2, quad_n)

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import FracParams, Grid, GridFunction, RightSplitFunction, SplitFunction
+from .core import FracParams, Grid, GridFunction, SplitFunction
 from .special import PowerTerm, Side
 
 __all__ = [
@@ -148,30 +148,27 @@ def _terms_from_json(items, side: Side | None = None) -> list[PowerTerm]:
     return out
 
 
-def split_to_dict(q: SplitFunction | RightSplitFunction, grid_csv: str | None = None) -> dict:
+def split_to_dict(q: SplitFunction, grid_csv: str | None = None) -> dict:
     """JSON-ready dict.  Grid densities require ``grid_csv``, written separately."""
     p = q.params
-    left = isinstance(q, SplitFunction)
-    coeff = q.c if left else q.d
-    density = q.phi if left else q.psi
     d: dict[str, Any] = {
         "alpha": p.alpha,
         "p": None if math.isinf(p.p) else p.p,
         "a": p.a,
         "b": p.b,
-        "side": "left" if left else "right",
-        "c": [float(x) for x in coeff],
+        "side": q.side.value,
+        "c": [float(x) for x in q.c],
     }
-    if isinstance(density, GridFunction):
+    if isinstance(q.phi, GridFunction):
         if grid_csv is None:
             raise ValueError("grid density needs a csv path")
         d["phi"] = {"kind": "grid", "csv": grid_csv}
     else:
-        d["phi"] = {"kind": "poly", "terms": _terms_to_json(density)}
+        d["phi"] = {"kind": "poly", "terms": _terms_to_json(q.phi)}
     return d
 
 
-def split_from_dict(d: dict, base_dir: str = ".") -> SplitFunction | RightSplitFunction:
+def split_from_dict(d: dict, base_dir: str = ".") -> SplitFunction:
     try:
         p_raw = d.get("p")
         params = FracParams(
@@ -180,32 +177,25 @@ def split_from_dict(d: dict, base_dir: str = ".") -> SplitFunction | RightSplitF
             a=_number(d["a"], "a"),
             b=_number(d["b"], "b"),
         )
-        side = d.get("side", "left")
+        side = Side(d.get("side", "left"))
         c = _numbers(d["c"], "c")
         phi = d["phi"]
         kind = phi["kind"]
         if kind == "poly":
-            density = _terms_from_json(phi["terms"], Side.LEFT if side == "left" else Side.RIGHT)
+            density = _terms_from_json(phi["terms"], side)
         elif kind == "grid":
             density = read_grid_csv(os.path.join(base_dir, phi["csv"]))
         else:
             raise ParseError(f"unknown density kind {kind!r}")
+        _require_finite([params.a, params.b, c], "split-function JSON")
+        return SplitFunction(params, c, density, side)
     except ParseError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed split-function JSON: {exc}") from exc
-    _require_finite([params.a, params.b, c], "split-function JSON")
-    try:
-        if side == "left":
-            return SplitFunction(params, c, density)
-        if side == "right":
-            return RightSplitFunction(params, c, density)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown side {side!r}")
 
 
-def read_split_json(path: str) -> SplitFunction | RightSplitFunction:
+def read_split_json(path: str) -> SplitFunction:
     try:
         with open(path) as fh:
             d = json.load(fh)
@@ -216,12 +206,11 @@ def read_split_json(path: str) -> SplitFunction | RightSplitFunction:
     return split_from_dict(d, base_dir=os.path.dirname(path) or ".")
 
 
-def write_split_json(path: str, q: SplitFunction | RightSplitFunction) -> None:
+def write_split_json(path: str, q: SplitFunction) -> None:
     grid_csv = None
-    density = q.phi if isinstance(q, SplitFunction) else q.psi
-    if isinstance(density, GridFunction):
+    if isinstance(q.phi, GridFunction):
         grid_csv = os.path.splitext(os.path.basename(path))[0] + "_phi.csv"
-        write_grid_csv(os.path.join(os.path.dirname(path) or ".", grid_csv), density)
+        write_grid_csv(os.path.join(os.path.dirname(path) or ".", grid_csv), q.phi)
     with open(path, "w") as fh:
         json.dump(split_to_dict(q, grid_csv), fh, indent=2)
         fh.write("\n")

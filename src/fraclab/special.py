@@ -71,7 +71,10 @@ def beta(x: float, y: float) -> float:
         raise ValueError(f"beta requires positive arguments, got ({x}, {y})")
     if x + y > _GAMMA_OVERFLOW_X:
         return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
-    return gamma(x) * gamma(y) / gamma(x + y)
+    num = gamma(x) * gamma(y)
+    if math.isinf(num):  # Gamma(max) alone stays finite: divide before multiplying
+        return gamma(max(x, y)) / gamma(x + y) * gamma(min(x, y))
+    return num / gamma(x + y)
 
 
 class Side(enum.Enum):

@@ -18,8 +18,9 @@ from .core import (
     FracParams,
     Grid,
     GridFunction,
-    RightSplitFunction,
     SplitFunction,
+    _density_bounded,
+    _require_left,
     eval_split,
     right_derivative_grid,
 )
@@ -237,6 +238,7 @@ def _graded_rule(
 
 
 def _require_valid(spec: LagrangianSpec, q: SplitFunction, validate: bool) -> None:
+    _require_left(q)
     if validate:
         violations = validate_growth(spec.certificate, q.params)
         if violations:
@@ -285,6 +287,7 @@ def first_variation(
         raise ValueError(f"quad_n must be at least 1, got {quad_n}")
     _require_valid(spec, q, validate)
     p = q.params
+    _require_left(h)
     hp = h.params
     if (hp.a, hp.b, hp.alpha) != (p.a, p.b, p.alpha):
         raise ValueError("q and h must share the interval and the order alpha")
@@ -314,17 +317,11 @@ class ElReport:
     the case the boundary condition cannot be evaluated pointwise.
     """
 
-    lambda_v: RightSplitFunction
+    lambda_v: SplitFunction
     el_residual: GridFunction
     bc_a_residual: np.ndarray | None
     bc_b_residual: np.ndarray
     residual_tol: float
-
-
-def _density_finite_at_a(q: SplitFunction) -> bool:
-    if isinstance(q.phi, GridFunction):
-        return q.phi.left_endpoint_finite
-    return all(t.exponent >= 0.0 for t in q.phi)
 
 
 def el_report(
@@ -345,7 +342,7 @@ def el_report(
     nodes = grid.nodes
     m = q.m
 
-    finite_a = not bool(np.any(q.c != 0.0)) and _density_finite_at_a(q)
+    finite_a = not bool(np.any(q.c != 0.0)) and _density_bounded(q.phi)
     g = np.zeros((quad_n + 1, m))
     lx = np.zeros((quad_n + 1, m))
     start = 0 if finite_a else 1
@@ -371,7 +368,7 @@ def el_report(
     bc_b = d_g - (-g2)
     bc_a = (g[0] - g1) if finite_a else None
 
-    lambda_v = RightSplitFunction(p, d_g, GridFunction(grid, psi_g.values, True))
+    lambda_v = SplitFunction(p, d_g, GridFunction(grid, psi_g.values, True), Side.RIGHT)
     tol = 10.0 * grid.h ** (2.0 - p.alpha) * max(1.0, float(np.max(np.abs(g))))
     return ElReport(lambda_v, residual, bc_a, bc_b, tol)
 

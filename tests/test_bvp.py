@@ -22,6 +22,7 @@ from fraclab.core import (
     Grid,
     GridFunction,
     RegimeError,
+    RightSplitFunction,
     SplitFunction,
     eval_split,
 )
@@ -293,6 +294,14 @@ class TestSolve:
                 feasible_element(prob), prob,
                 [SplitFunction(p, [0.0], [PowerTerm(1.0, 0.0)])],
             )
+
+    def test_weak_form_check_rejects_right_split_functions(self):
+        prob = BvpProblem(params(), [], [0.0], [0.0])
+        right = RightSplitFunction(params(), [0.0], [PowerTerm(1.0, 1.0, Side.RIGHT)])
+        with pytest.raises(ValueError, match="left split"):
+            weak_form_check(feasible_element(prob), prob, [right])
+        with pytest.raises(ValueError, match="left split"):
+            weak_form_check(right, prob, [])
 
     def test_zero_probe_zero_defect(self):
         prob = BvpProblem(params(), [], [0.0], [0.0])

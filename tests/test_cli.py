@@ -167,6 +167,34 @@ class TestExitCodes:
         ref = float(mpmath.gamma(146) / mpmath.gamma(146.6))
         assert json.loads(out.stdout)["lhs"] == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "q1, q2",
+        [("ibp_q2.json", "ibp_q1.json"), ("ibp_q1.json", "ibp_q1.json")],
+        ids=["swapped", "both_left"],
+    )
+    def test_verify_ibp_wrong_sides_is_3(self, q1, q2):
+        out = run_cli("verify-ibp", q1, q2)
+        assert out.returncode == 3, out.stderr
+        assert "left q1 and a right q2" in out.stderr
+
+    def test_el_check_right_q_is_3(self, tmp_path):
+        cfg = json.loads(golden("el_quadratic.json"))
+        cfg["q"]["side"] = "right"
+        path = tmp_path / "el.json"
+        path.write_text(json.dumps(cfg))
+        out = run_cli("el-check", str(path), cwd=str(tmp_path))
+        assert out.returncode == 3, out.stderr
+        assert "left split" in out.stderr
+
+    def test_unknown_side_is_2(self, tmp_path):
+        q1 = json.loads(golden("ibp_q1.json"))
+        q1["side"] = "up"
+        path = tmp_path / "q1.json"
+        path.write_text(json.dumps(q1))
+        out = run_cli("verify-ibp", str(path), "ibp_q2.json")
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("parse error")
+
     def test_el_check_quad_n_below_two_is_3(self, tmp_path):
         # q singular at a: el_report extrapolates node 0 from nodes 1 and 2
         cfg = json.loads(golden("el_quadratic.json"))
@@ -561,8 +589,8 @@ EXPONENTS = mostly(st.floats(-0.99, 4.0), st.sampled_from([-1.0, 0.0, 1.0]))
 
 @st.composite
 def el_configs(draw):
-    """el-check config: a preset Lagrangian, a left split function q with
-    generated c and phi terms, and quad_n in 1..64."""
+    """el-check config: a preset Lagrangian, a left or right split function q
+    with generated c and phi terms, and quad_n in 1..64."""
     alpha = draw(ORDERS | st.sampled_from([0.6, 0.8]))
     p = draw(st.sampled_from([1.5, 2.0, 4.0, None]))
     preset = draw(
@@ -570,7 +598,8 @@ def el_configs(draw):
     )
     term = st.fixed_dictionaries({"coeff": COEFFS, "exponent": EXPONENTS})
     terms = draw(st.lists(term, max_size=3))
-    q = {"alpha": alpha, "p": p, "a": 0.0, "b": draw(st.floats(0.1, 10.0)), "side": "left",
+    q = {"alpha": alpha, "p": p, "a": 0.0, "b": draw(st.floats(0.1, 10.0)),
+         "side": draw(st.sampled_from(["left", "right"])),
          "c": [draw(COEFFS)], "phi": {"kind": "poly", "terms": terms}}
     return {"lagrangian": preset, "q": q, "quad_n": draw(st.integers(1, 64))}
 
@@ -604,6 +633,7 @@ class TestElCheckFuzz:
         code, out, err = run_json_command("el-check", cfg)
         assert code in {0, 2, 3, 4}, err
         if code == 0:
+            assert cfg["q"]["side"] == "left"
             assert finite_numbers(json.loads(out)), out
 
 
@@ -617,4 +647,45 @@ class TestSolveBvpFuzz:
         code, out, err = run_json_command("solve-bvp", cfg)
         assert code in {0, 2, 3, 4}, err
         if code == 0:
+            assert finite_numbers(json.loads(out)), out
+
+
+SIDES = st.sampled_from(["left", "right", "up"])
+
+
+@st.composite
+def ibp_operands(draw):
+    """verify-ibp operands: two split-function JSONs on one interval, with
+    generated c and phi terms; q1 mostly left, q2 mostly right, and either
+    side now and then swapped or bogus."""
+    shared = {
+        "alpha": draw(ORDERS | st.sampled_from([0.6, 0.8])),
+        "p": draw(st.sampled_from([1.5, 2.0, 4.0, None])),
+        "a": draw(st.floats(-5.0, 5.0)),
+    }
+    shared["b"] = shared["a"] + draw(st.floats(1e-3, 10.0))
+    term = st.fixed_dictionaries({"coeff": COEFFS, "exponent": EXPONENTS})
+    return [
+        {**shared, "side": draw(mostly(st.just(side), SIDES)), "c": [draw(COEFFS)],
+         "phi": {"kind": "poly", "terms": draw(st.lists(term, max_size=3))}}
+        for side in ("left", "right")
+    ]
+
+
+class TestVerifyIbpFuzz:
+    """``verify-ibp`` in-process on generated operand pairs: exit 0, 2, 3 or
+    4, never a raise, and exit 0 only with every printed number finite."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operands=ibp_operands())
+    def test_exit_code_contract(self, operands):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, f"q{k}.json") for k in (1, 2)]
+            for path, q in zip(paths, operands):
+                with open(path, "w") as fh:
+                    json.dump(q, fh)
+            code, out, err = run_in_process(["verify-ibp", *paths])
+        assert code in {0, 2, 3, 4}, err
+        if code == 0:
+            assert [q["side"] for q in operands] == ["left", "right"]
             assert finite_numbers(json.loads(out)), out

@@ -18,7 +18,6 @@ from fraclab.core import (
     SplitFunction,
     admissible_r_range,
     build_weight_operator,
-    eval_right_split,
     eval_split,
     left_derivative_grid,
     left_derivative_split,
@@ -360,6 +359,21 @@ class TestSplitFunctions:
             left_subdiffusion_boundary_value(q), np.array([3.25, -1.0])
         )
 
+    @pytest.mark.parametrize("side", ["left", "right", Side.LEFT, Side.RIGHT])
+    def test_side_from_enum_or_string(self, side):
+        q = SplitFunction(self.params(), [1.0], [], side)
+        assert q.side is Side(side)
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError):
+            SplitFunction(self.params(), [1.0], [], "up")
+
+    @pytest.mark.parametrize("read", [left_derivative_split, left_subdiffusion_boundary_value])
+    def test_left_readers_reject_right_functions(self, read):
+        q = RightSplitFunction(self.params(), [1.0], [PowerTerm(2.0, 1.0, Side.RIGHT)])
+        with pytest.raises(ValueError, match="left split"):
+            read(q)
+
     def test_boundary_value_consistent_with_symbolic_limit(self):
         # I^(1-a) q = c + I^1 phi in closed form; its value at a is c
         p = self.params(alpha=0.7)
@@ -377,11 +391,11 @@ class TestSplitFunctions:
     def test_right_split_eval(self):
         p = FracParams(0.5, 4.0, 0.0, 1.0)
         q = RightSplitFunction(p, [1.0], [])
-        assert float(eval_right_split(q, 0.0)[0]) == pytest.approx(
+        assert float(eval_split(q, 0.0)[0]) == pytest.approx(
             0.5641895835477563, rel=1e-12
         )
         with pytest.raises(ValueError):
-            eval_right_split(q, 1.0)
+            eval_split(q, 1.0)
 
     def test_right_split_off_node_closed_form(self):
         # q = d (b-t)^(alpha-1)/Gamma(alpha) + I^alpha_(b-) (1.5 - 0.8 (b-t))
@@ -402,9 +416,9 @@ class TestSplitFunctions:
         q_terms = RightSplitFunction(p, [d], psi_terms)
         q_grid = RightSplitFunction(p, [d], psi_grid)
         for t in (0.5, 0.61, 1.001, 1.37, 1.9999):
-            assert eval_right_split(q_terms, t)[0] == pytest.approx(exact(t), rel=1e-12)
+            assert eval_split(q_terms, t)[0] == pytest.approx(exact(t), rel=1e-12)
             # psi is linear, which the product trapezoid integrates exactly
-            assert eval_right_split(q_grid, t)[0] == pytest.approx(exact(t), rel=1e-10)
+            assert eval_split(q_grid, t)[0] == pytest.approx(exact(t), rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 10, 64, 100, 250])
     def test_grid_density_one_ulp_from_nodes(self, n):
@@ -414,7 +428,7 @@ class TestSplitFunctions:
         g = Grid(0.0, 1.0, n)
         f = GridFunction(g, 1.0 + g.nodes**2)
         pairs = ((SplitFunction(p, [0.3], f), eval_split),
-                 (RightSplitFunction(p, [0.3], f), eval_right_split))
+                 (RightSplitFunction(p, [0.3], f), eval_split))
         for q, evaluate in pairs:
             for node in g.nodes[1:-1]:
                 at = float(evaluate(q, float(node))[0])

@@ -1,7 +1,10 @@
 """Integration-by-parts identity with boundary terms."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fraclab.core import (
     FracParams,
@@ -81,6 +84,13 @@ class TestIbpClosedForm:
         q1 = SplitFunction(p_bad, [0.0], [])
         q2 = RightSplitFunction(p_bad, [0.0], [])
         with pytest.raises(RegimeError):
+            ibp_report(q1, q2)
+
+    @pytest.mark.parametrize("sides", ["right-left", "left-left", "right-right"])
+    def test_pair_must_be_left_then_right(self, sides):
+        make = {"left": SplitFunction, "right": RightSplitFunction}
+        q1, q2 = (make[s](params(), [1.0], []) for s in sides.split("-"))
+        with pytest.raises(ValueError, match="left q1 and a right q2"):
             ibp_report(q1, q2)
 
     def test_mismatched_intervals_rejected(self):
@@ -166,3 +176,29 @@ class TestIbpGridPath:
         # rhs_integral = int q1 . psi where psi = -q2' classically
         assert rep.rhs_integral == pytest.approx(classical_rhs, abs=1e-2)
         assert abs(rep.defect) <= 1e-12 * max(1.0, abs(rep.lhs))
+
+
+@st.composite
+def closed_form_pairs(draw):
+    """A left q1 and a right q2 on a shared interval, each with a kernel
+    coefficient and 0-3 density power terms of exponent above -alpha."""
+    alpha = draw(st.floats(0.05, 0.99))
+    a = draw(st.floats(-10.0, 10.0))
+    p = FracParams(alpha, math.inf, a, a + draw(st.floats(0.01, 10.0)))
+    coeff = st.floats(-10.0, 10.0)
+    exponent = st.floats(-alpha, 6.0, exclude_min=True)
+
+    def terms(side):
+        return draw(st.lists(st.builds(PowerTerm, coeff, exponent, st.just(side)), max_size=3))
+
+    q1 = SplitFunction(p, [draw(coeff)], terms(Side.LEFT))
+    q2 = RightSplitFunction(p, [draw(coeff)], terms(Side.RIGHT))
+    return q1, q2
+
+
+class TestIbpClosedFormProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=closed_form_pairs())
+    def test_defect_at_rounding_level(self, pair):
+        rep = ibp_report(*pair)
+        assert abs(rep.defect) <= rep.quad_tol, rep

@@ -158,7 +158,7 @@ def test_split_json_round_trip_right(tmp_path):
     path = tmp_path / "q.json"
     write_split_json(str(path), q)
     back = read_split_json(str(path))
-    assert isinstance(back, RightSplitFunction)
+    assert back.side is Side.RIGHT
     assert back.psi[0].side is Side.RIGHT
 
 

@@ -72,6 +72,11 @@ class TestGamma:
         # x + y above the Gamma overflow: the log-Gamma branch
         assert beta(120.0, 80.0) == pytest.approx(float(mpmath.beta(120.0, 80.0)), rel=1e-12)
 
+    @pytest.mark.parametrize("x, y", [(171.5, 0.1), (0.1, 171.5)])
+    def test_beta_where_the_gamma_product_overflows(self, x, y):
+        # Gamma(171.5) Gamma(0.1) is above the float limit, B(x, y) is not
+        assert beta(x, y) == pytest.approx(float(mpmath.beta(x, y)), rel=1e-13)
+
 
 class TestPowerTerm:
     def test_exponent_bound(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclab.core import FracParams, SplitFunction, eval_split
+from fraclab.core import FracParams, RightSplitFunction, SplitFunction, eval_split
 from fraclab.special import (
     PowerTerm,
     Side,
@@ -271,6 +271,26 @@ class TestFirstVariation:
         q = SplitFunction(params(0.7), [0.0], [PowerTerm(1.0, 0.0)])
         with pytest.raises(ValueError, match="quad_n"):
             first_variation(spec, q, q, quad_n=quad_n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, left, right: bolza_value(spec, right),
+        lambda spec, left, right: el_report(spec, right, quad_n=16),
+        lambda spec, left, right: first_variation(spec, right, left),
+        lambda spec, left, right: first_variation(spec, left, right),
+    ],
+    ids=["bolza_value", "el_report", "first_variation_q", "first_variation_h"],
+)
+def test_right_split_function_rejected(call):
+    # q, h and their split data are read as left-sided; a right function
+    # would give numbers for the wrong function
+    spec = quadratic_lagrangian(0.6, 2.0)
+    left = SplitFunction(params(), [0.0], [PowerTerm(1.0, 1.0)])
+    right = RightSplitFunction(params(), [0.0], [PowerTerm(1.0, 1.0, Side.RIGHT)])
+    with pytest.raises(ValueError, match="left split"):
+        call(spec, left, right)
 
 
 class TestElReport:
