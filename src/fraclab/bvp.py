@@ -94,10 +94,14 @@ class BvpSolution:
     """Galerkin solution in split coordinates plus diagnostics.
 
     ``coeffs[j, k]`` is the Legendre-j coefficient of component k of the
-    density; ``weak_residuals`` are the Galerkin orthogonality defects over
-    the constrained test directions; ``bc_defect_b`` is |q(b) - q_b| per
-    component.  ``projection_tol`` reports the quadrature error of the load
-    when f arrives as grid samples (0 for closed-form forcings).
+    density.  ``energy_norm`` is a(q, q)^(1/2), with
+    a(q, q) = int |q|^2 + int |D^a q|^2, taken from ``coeffs`` by one
+    Gauss-Jacobi rule and Legendre orthogonality, not from the monomial
+    density ``q.phi``.  ``weak_residuals`` are the Galerkin orthogonality
+    defects over the constrained test directions; ``bc_defect_b`` is
+    |q(b) - q_b| per component.  ``projection_tol`` reports the quadrature
+    error of the load when f arrives as grid samples (0 for closed-form
+    forcings).
     """
 
     q: SplitFunction
@@ -125,12 +129,12 @@ def feasible_element(problem: BvpProblem) -> SplitFunction:
 
 @lru_cache(maxsize=128)
 def _legendre_coeffs(j: int, a: float, b: float) -> tuple[float, ...]:
-    e = np.zeros(j + 1)
-    e[j] = 1.0
-    poly_y = np.polynomial.polynomial.Polynomial(np.polynomial.legendre.leg2poly(e))
-    # y = 2 (t - a) / (b - a) - 1, expanded in u = t - a.
-    poly_u = poly_y(np.polynomial.polynomial.Polynomial([-1.0, 2.0 / (b - a)]))
-    return tuple(float(c) for c in np.atleast_1d(poly_u.coef))
+    # P_j(2u/(b-a) - 1) = sum_k (-1)^(j+k) C(j,k) C(j+k,k) (u/(b-a))^k, u = t - a:
+    # exact integers on [0, 1].
+    return tuple(
+        (-1) ** (j + k) * math.comb(j, k) * math.comb(j + k, k) / (b - a) ** k
+        for k in range(j + 1)
+    )
 
 
 def shifted_legendre_terms(j: int, a: float, b: float) -> list[PowerTerm]:
@@ -172,6 +176,14 @@ def _jacobi_table(alpha: float, n: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
+def _trial_table(alpha: float, half: float, n: int, x: np.ndarray) -> np.ndarray:
+    """T_j(x) for j < n, shape (n, len(x)), where I^a B_j(t) = (1+x)^a T_j(x)
+    on t = a + half (1+x):  T_j = half^a Gamma(j+1)/Gamma(j+1+a) P_j^(-a,a)."""
+    j = np.arange(1.0, n)
+    scale = half**alpha * np.cumprod(np.r_[1.0 / gamma(alpha + 1.0), j / (j + alpha)])
+    return scale[:, None] * _jacobi_table(alpha, n, x)
+
+
 def _grid_load_tol(fg: GridFunction, alpha: float) -> float:
     return 10.0 * fg.grid.h ** (1.0 + alpha) * max(1.0, float(np.max(np.abs(fg.values))))
 
@@ -199,11 +211,6 @@ def assemble_system(
     p = problem.params
     alpha, half = p.alpha, 0.5 * p.length
     n = basis_degree + 1
-    j = np.arange(1.0, n)
-    scale = half**alpha * np.cumprod(np.r_[1.0 / gamma(alpha + 1.0), j / (j + alpha)])
-
-    def trial(x: np.ndarray) -> np.ndarray:
-        return scale[:, None] * _jacobi_table(alpha, n, x)
 
     # One rule for the Gram matrix, weight (1+x)^(2a), then one per power
     # term of f and of q0: (t-a)^e = half^e (1+x)^e, (b-t)^e = half^e (1-x)^e.
@@ -215,7 +222,8 @@ def assemble_system(
     x, w = _gauss_jacobi(
         n, np.r_[0.0, np.where(left, 0.0, e)], np.r_[2.0 * alpha, np.where(left, e + alpha, alpha)]
     )
-    table = trial(np.r_[x.ravel(), 1.0])  # T_j at every node of every rule, then at x = 1
+    # T_j at every node of every rule, then at x = 1
+    table = _trial_table(alpha, half, n, np.r_[x.ravel(), 1.0])
 
     v = table[:, :n] * np.sqrt(half * w[0])
     gram = v @ v.T + np.diag(p.length / (2.0 * np.arange(n) + 1.0))
@@ -233,7 +241,7 @@ def assemble_system(
         u = (fg.grid.nodes - p.a) / half  # 1 + x
         trap = np.full(u.shape, fg.grid.h)
         trap[[0, -1]] *= 0.5
-        load += (u**alpha * trial(u - 1.0) * trap) @ fg.values
+        load += (u**alpha * _trial_table(alpha, half, n, u - 1.0) * trap) @ fg.values
 
     constraint = 2.0**alpha * table[:, -1]
     return gram, load, constraint
@@ -255,28 +263,38 @@ def solve_bvp(problem: BvpProblem, basis_degree: int) -> BvpSolution:
 
     # The density sum_j coeffs[j] B_j + theta, in powers of (t - a).
     p = problem.params
+    theta = feasible_element(problem).phi[0].coeff
     power = np.zeros_like(coeffs)
     for j, cj in enumerate(coeffs):
         power[: j + 1] += np.outer(_legendre_coeffs(j, p.a, p.b), cj)
-    power[0] += feasible_element(problem).phi[0].coeff
+    power[0] += theta
     phi = [PowerTerm(c, float(k), Side.LEFT) for k, c in enumerate(power)]
     q = SplitFunction(p, problem.q_a, phi)
 
     weak_residuals = np.max(np.abs(z.T @ (gram @ coeffs - load)), axis=1)
     bc_b = np.abs(np.atleast_1d(eval_split(q, p.b)) - problem.q_b)
 
-    qt = _power_terms(q)
-    energy_sq = float(
-        np.sum(terms_product_integral(qt, qt, p.a, p.b))
-        + np.sum(terms_product_integral(q.phi, q.phi, p.a, p.b))
-    )
+    # a(q, q) from the Legendre coefficients, not from the monomials.  With
+    # d = coeffs + theta e_0, q = (1+x)^(a-1) P(x) for the degree-(N+1)
+    # polynomial P = q_a half^(a-1)/Gamma(a) + (1+x) sum_j d_j T_j, so int |q|^2
+    # is one (N+2)-point Gauss-Jacobi rule with weight (1+x)^(2a-2), integrable
+    # as a > 1/2.  Legendre orthogonality gives int |phi|^2.
+    alpha, half, n = p.alpha, 0.5 * p.length, len(coeffs)
+    d = coeffs.copy()
+    d[0] += theta
+    (x,), (w,) = _gauss_jacobi(n + 1, np.zeros(1), np.array([2.0 * alpha - 2.0]))
+    poly = (1.0 + x)[:, None] * (_trial_table(alpha, half, n, x).T @ d)
+    poly += half ** (alpha - 1.0) / gamma(alpha) * problem.q_a
+    phi_sq = theta * theta + 2.0 * theta * coeffs[0]
+    phi_sq += np.sum(coeffs**2 / (2.0 * np.arange(n) + 1.0)[:, None], axis=0)
+    energy_sq = half * float(np.sum(w @ poly**2)) + p.length * float(np.sum(phi_sq))
     proj_tol = (
         _grid_load_tol(problem.f, p.alpha) if isinstance(problem.f, GridFunction) else 0.0
     )
     return BvpSolution(
         q=q,
         coeffs=coeffs,
-        energy_norm=math.sqrt(max(energy_sq, 0.0)),
+        energy_norm=math.sqrt(energy_sq),
         weak_residuals=weak_residuals,
         bc_defect_b=bc_b,
         projection_tol=proj_tol,
@@ -340,8 +358,8 @@ def manufactured_problem(
     # phi* rewritten in (t-a) powers for the split-function density.
     coeffs_t = np.zeros(1)
     for t in phi_right:
-        w = np.polynomial.polynomial.Polynomial([p.b, -1.0]) ** int(round(t.exponent))
-        c = float(np.asarray(t.coeff)) * np.atleast_1d(w.coef)
+        w = np.polynomial.polynomial.polypow([p.b, -1.0], int(round(t.exponent)))
+        c = float(np.asarray(t.coeff)) * w
         if c.size > coeffs_t.size:
             coeffs_t = np.pad(coeffs_t, (0, c.size - coeffs_t.size))
         coeffs_t[: c.size] += c

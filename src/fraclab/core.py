@@ -38,6 +38,7 @@ __all__ = [
     "left_derivative_grid",
     "right_derivative_grid",
     "eval_split",
+    "sample_split",
     "left_derivative_split",
     "left_subdiffusion_boundary_value",
     "rl_derivative_of_ac",

@@ -206,9 +206,12 @@ def terms_product_integral(
 
 def _compose_affine(coeffs: Sequence[float], shift: float, scale: float) -> np.ndarray:
     """Coefficients of p(shift + scale*u) in powers of u, given p's coefficients in t."""
-    p = np.polynomial.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-    q = p(np.polynomial.polynomial.Polynomial([shift, scale]))
-    return np.atleast_1d(q.coef)
+    c = np.asarray(coeffs, dtype=float)
+    out = np.zeros(c.size)
+    for k, ck in enumerate(c[::-1]):  # Horner: out <- out * (shift + scale*u) + ck
+        out[1 : k + 1] = out[1 : k + 1] * shift + out[:k] * scale
+        out[0] = out[0] * shift + ck
+    return out
 
 
 def poly_to_left_terms(coeffs: Sequence[float], a: float) -> list[PowerTerm]:

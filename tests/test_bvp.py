@@ -5,6 +5,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from fraclab.bvp import (
@@ -24,6 +25,7 @@ from fraclab.core import (
     RegimeError,
     RightSplitFunction,
     SplitFunction,
+    _power_terms,
     eval_split,
 )
 from fraclab.special import (
@@ -115,6 +117,16 @@ class TestShiftedLegendre:
                 # monomial cancellation grows with degree; the assembly adds
                 # the mass diagonal analytically instead of relying on this
                 assert got == pytest.approx(ref, abs=1e-10)
+
+    def test_integer_coefficients_on_unit_interval(self):
+        # P_j(2t - 1) = sum_k (-1)^(j+k) C(j,k) C(j+k,k) t^k
+        for j in range(13):
+            expected = [
+                ((-1) ** (j + k) * math.comb(j, k) * math.comb(j + k, k), float(k))
+                for k in range(j + 1)
+            ]
+            got = [(t.coeff, t.exponent) for t in shifted_legendre_terms(j, 0.0, 1.0)]
+            assert got == expected
 
 
 class TestAssembly:
@@ -441,3 +453,78 @@ class TestSolve:
         sol_c = solve_bvp(prob, 3)
         assert sol_g.projection_tol > 0.0
         assert np.max(np.abs(sol_g.coeffs - sol_c.coeffs)) <= 1e-3
+
+
+def mp_energy(problem, sol):
+    """a(q, q)^(1/2) at 50 digits for the solution with singular part q_a and
+    density theta + sum_j coeffs[j] B_j: the solver's own theta and
+    coefficients, with the exact shifted Legendre coefficients of B_j."""
+    p = problem.params
+    theta = np.broadcast_to(feasible_element(problem).phi[0].coeff, (problem.m,))
+    with mp.workdps(50):
+        alpha, length = mp.mpf(p.alpha), mp.mpf(p.b) - mp.mpf(p.a)
+
+        def inner(u, v):
+            return mp.fsum(c * d * length ** (e + f + 1) / (e + f + 1) for c, e in u for d, f in v)
+
+        total = 0
+        for k in range(problem.m):
+            phi = [mp.mpf(theta[k])] + [mp.mpf(0)] * (len(sol.coeffs) - 1)
+            for j, cj in enumerate(sol.coeffs[:, k]):
+                for i in range(j + 1):
+                    binom = math.comb(j, i) * math.comb(j + i, i)
+                    phi[i] += (-1) ** (i + j) * binom * mp.mpf(cj) / length**i
+            phi = [(c, i) for i, c in enumerate(phi)]
+            q = [(mp.mpf(problem.q_a[k]) / mp.gamma(alpha), alpha - 1)]
+            q += [(c * mp.gamma(i + 1) / mp.gamma(i + 1 + alpha), i + alpha) for c, i in phi]
+            total += inner(q, q) + inner(phi, phi)
+        return float(mp.sqrt(total))
+
+
+# Zero or at least 1e-3 in magnitude: squares of values below about 1e-154
+# underflow, and no energy formula keeps its relative accuracy there.
+data_coeffs = st.just(0.0) | st.floats(1e-3, 2.0) | st.floats(-2.0, -1e-3)
+
+
+class TestEnergyNorm:
+    @pytest.mark.parametrize("degree", [8, 12])
+    def test_readme_example(self, degree):
+        prob = BvpProblem(params(alpha=0.6), [PowerTerm(1.0, 0.0)], [0.3], [0.55])
+        sol = solve_bvp(prob, degree)
+        assert sol.energy_norm == pytest.approx(mp_energy(prob, sol), rel=1e-14, abs=0.0)
+
+    def test_two_components(self):
+        f = [
+            PowerTerm(np.array([1.0, -0.5]), 0.0),
+            PowerTerm(np.array([0.3, 0.8]), 1.5, Side.RIGHT),
+        ]
+        prob = BvpProblem(params(alpha=0.7, a=-0.5, b=1.3), f, [0.3, -0.2], [0.55, 0.1])
+        sol = solve_bvp(prob, 12)
+        assert sol.energy_norm == pytest.approx(mp_energy(prob, sol), rel=1e-14, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(0.55, 0.95),
+        a=st.floats(-1.0, 1.0),
+        length=st.floats(0.2, 2.0),
+        degree=st.integers(1, 12),
+        q_a=data_coeffs,
+        data=st.data(),
+    )
+    def test_matches_manufactured_solution(self, alpha, a, length, degree, q_a, data):
+        # The trial densities have degree <= N, so (b-t)^k with k <= N is
+        # recovered exactly; N = 0 holds no manufactured density.
+        powers = data.draw(
+            st.lists(st.integers(1, min(3, degree)), min_size=1, max_size=3, unique=True)
+        )
+        coeffs = data.draw(st.lists(data_coeffs, min_size=len(powers), max_size=len(powers)))
+        p = params(alpha=alpha, a=a, b=a + length)
+        phi_star = [PowerTerm(c, float(k), Side.RIGHT) for c, k in zip(coeffs, powers)]
+        prob, q_star = manufactured_problem(p, phi_star, [q_a])
+        sol = solve_bvp(prob, degree)
+        q_terms = _power_terms(q_star)
+        expected = math.sqrt(
+            float(np.sum(terms_product_integral(q_terms, q_terms, p.a, p.b)))
+            + float(np.sum(terms_product_integral(q_star.phi, q_star.phi, p.a, p.b)))
+        )
+        assert sol.energy_norm == pytest.approx(expected, rel=1e-13, abs=0.0)

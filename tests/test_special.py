@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from scipy import integrate
 
 from fraclab.special import (
+    _compose_affine,
     PowerTerm,
     Side,
     beta,
@@ -234,6 +235,19 @@ class TestTermAlgebra:
         out = frac_derivative_terms(0.5, terms)
         assert len(out) == 1
         assert out[0].exponent == pytest.approx(0.5)
+
+    @given(
+        coeffs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=14),
+        shift=st.floats(-1e3, 1e3),
+        scale=st.sampled_from([1.0, -1.0]) | st.floats(-1e3, 1e3),
+    )
+    def test_compose_affine_matches_polynomial_objects(self, coeffs, shift, scale):
+        # Reference: numpy's Polynomial composition, which trims trailing zeros.
+        poly = np.polynomial.polynomial.Polynomial
+        ref = np.atleast_1d(poly(np.asarray(coeffs))(poly([shift, scale])).coef)
+        got = _compose_affine(coeffs, shift, scale)
+        np.testing.assert_array_equal(got[: ref.size], ref)
+        assert not np.any(got[ref.size :])
 
     def test_vector_coefficients(self):
         term = PowerTerm(np.array([1.0, -2.0]), 1.0)
